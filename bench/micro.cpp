@@ -474,19 +474,17 @@ void BM_RewriteLarge(benchmark::State& state) {
   const auto& cb = shared_large_cb(static_cast<int>(state.range(0)));
   std::size_t text = cb.image.text().bytes.size();
   RewriteWorkspace workspace;
-  ExecPolicy exec;
-  exec.workspace = &workspace;
   // One untimed rewrite fills the workspace (and the thread arena) to its
   // steady-state capacity, so AllocScope's baseline includes the retained
   // buffers and the counters below measure WARM iterations: what a serve
   // worker pays per request, not the first-request fill.
   {
-    auto r = rewrite(cb.image, {}, exec);
+    auto r = rewrite(cb.image, {}, &workspace);
     benchmark::DoNotOptimize(r->image.entry);
   }
   AllocScope allocs(state);
   for (auto _ : state) {
-    auto r = rewrite(cb.image, {}, exec);
+    auto r = rewrite(cb.image, {}, &workspace);
     benchmark::DoNotOptimize(r->image.entry);
   }
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations() * text));

@@ -1,7 +1,6 @@
 #include "analysis/disasm.h"
 
 #include "analysis/scratch.h"
-#include "batch/worker_pool.h"
 #include "support/log.h"
 
 namespace zipr::analysis {
@@ -62,20 +61,11 @@ void insert_coverage(const Range& insns, IntervalSet* code) {
   if (run_lo != run_hi) code->insert(run_lo, run_hi);
 }
 
-/// One parallel sweep chunk: the decode stream started at `start`,
-/// truncated to entries below the next chunk's start, plus the address the
-/// stream exited the chunk at (>= the next chunk's start).
-struct SweepChunk {
-  std::vector<AddrInsnMap::value_type> insns;
-  std::uint64_t exit = 0;
-};
-
-/// Decode forward from `addr`, recording entries with address < `limit`;
-/// returns the first reached address >= `limit` (the stream's exit point).
-std::uint64_t sweep_run(const zelf::Segment& text, std::uint64_t addr, std::uint64_t limit,
-                        std::vector<AddrInsnMap::value_type>* out) {
+/// Decode the text segment's file-backed bytes front to back into `out`.
+void sweep_run(const zelf::Segment& text, std::vector<AddrInsnMap::value_type>* out) {
   isa::Insn insn;
-  while (addr < limit) {
+  const std::uint64_t limit = text.vaddr + text.bytes.size();
+  for (std::uint64_t addr = text.vaddr; addr < limit;) {
     if (!decode_at(text, addr, insn)) {
       // Resynchronize one byte later, like objdump's ".byte" fallback.
       ++addr;
@@ -84,95 +74,22 @@ std::uint64_t sweep_run(const zelf::Segment& text, std::uint64_t addr, std::uint
     out->emplace_back(addr, insn);
     addr += insn.length;
   }
-  return addr;
 }
 
 }  // namespace
 
-DisasmResult linear_sweep(const zelf::Segment& text, int jobs,
+DisasmResult linear_sweep(const zelf::Segment& text,
                           std::vector<AddrInsnMap::value_type>* claims_scratch) {
-  const std::uint64_t begin = text.vaddr;
-  const std::uint64_t end = text.vaddr + text.bytes.size();
-  DisasmResult out;
-
-  // Chunks below ~16 KB are not worth a dispatch; this also keeps tiny
-  // binaries on the serial path regardless of the requested job count.
-  std::size_t workers = batch::effective_jobs(jobs, text.bytes.size() / (16 * 1024));
-  if (workers <= 1) {
-    std::vector<AddrInsnMap::value_type> v;
-    if (claims_scratch) {
-      v = std::move(*claims_scratch);
-      v.clear();
-    }
-    v.reserve(text.bytes.size() / 4);
-    sweep_run(text, begin, end, &v);
-    insert_coverage(v, &out.code);
-    out.insns.adopt_sorted(std::move(v));
-    return out;
-  }
-
-  // Parallel sweep: fixed chunks decode independently, then a sequential
-  // stitch repairs each boundary. Decoding at an address is memoryless --
-  // it depends only on the bytes there, not on how the sweep arrived -- so
-  // once the true stream reaches ANY address a chunk's local stream also
-  // decoded, the two streams coincide from that point on. The stitch
-  // re-decodes from the previous chunk's exit address until it hits such
-  // an address (usually within a few instructions) and splices the rest.
-  const std::uint64_t chunk = (end - begin + workers - 1) / workers;
-  std::vector<SweepChunk> chunks(workers);
+  std::vector<AddrInsnMap::value_type> v;
   if (claims_scratch) {
-    // Chunk 0's stream seeds the merged vector below, so the donated
-    // capacity ends up backing the full stitched table.
-    chunks[0].insns = std::move(*claims_scratch);
-    chunks[0].insns.clear();
+    v = std::move(*claims_scratch);
+    v.clear();
   }
-  batch::parallel_for(static_cast<int>(workers), workers, [&](std::size_t i) {
-    std::uint64_t lo = begin + chunk * i;
-    std::uint64_t hi = std::min<std::uint64_t>(end, lo + chunk);
-    if (lo >= hi) {
-      chunks[i].exit = lo;
-      return;
-    }
-    chunks[i].insns.reserve(static_cast<std::size_t>(hi - lo) / 4);
-    chunks[i].exit = sweep_run(text, lo, hi, &chunks[i].insns);
-  });
-
-  // Chunk 0's local stream IS the true stream over its range.
-  std::vector<AddrInsnMap::value_type> merged = std::move(chunks[0].insns);
-  std::uint64_t stream_pos = chunks[0].exit;  // true stream's next address
-  for (std::size_t i = 1; i < workers; ++i) {
-    const std::uint64_t lo = begin + chunk * i;
-    const std::uint64_t hi = std::min<std::uint64_t>(end, lo + chunk);
-    if (lo >= hi) continue;
-    const auto& local = chunks[i].insns;
-    // Walk the true stream until it lands on a locally-decoded start (or
-    // leaves the chunk). Locally decoded starts form one monotone chain,
-    // so membership is a binary search.
-    std::size_t sync = 0;
-    while (stream_pos < hi) {
-      auto it = std::lower_bound(
-          local.begin(), local.end(), stream_pos,
-          [](const AddrInsnMap::value_type& p, std::uint64_t a) { return p.first < a; });
-      if (it != local.end() && it->first == stream_pos) {
-        sync = static_cast<std::size_t>(it - local.begin());
-        break;
-      }
-      isa::Insn insn;
-      if (!decode_at(text, stream_pos, insn)) {
-        ++stream_pos;
-        continue;
-      }
-      merged.emplace_back(stream_pos, insn);
-      stream_pos += insn.length;
-    }
-    if (stream_pos >= hi) continue;  // never synchronized; chunk fully re-decoded
-    merged.insert(merged.end(), local.begin() + static_cast<std::ptrdiff_t>(sync),
-                  local.end());
-    stream_pos = chunks[i].exit;
-  }
-
-  insert_coverage(merged, &out.code);
-  out.insns.adopt_sorted(std::move(merged));
+  v.reserve(text.bytes.size() / 4);
+  sweep_run(text, &v);
+  DisasmResult out;
+  insert_coverage(v, &out.code);
+  out.insns.adopt_sorted(std::move(v));
   return out;
 }
 

@@ -120,15 +120,12 @@ struct JumpTable {
 struct AnalysisScratch;  // scratch.h; buffers recycled across rewrites
 
 /// objdump-like engine. Decodes `text` sequentially; after an undecodable
-/// byte it advances one byte and resynchronizes. `jobs` > 1 decodes fixed
-/// chunks in parallel and stitches boundaries sequentially; because a
-/// decode at a given address is independent of how the sweep arrived
-/// there, the stitched result is EXACTLY the serial sweep's output.
+/// byte it advances one byte and resynchronizes.
 ///
 /// `claims_scratch`, if given, donates its capacity to the decode stream
 /// (the vector is moved out and left empty); reclaim it afterwards via
 /// `result.insns.release()`. Never changes the result.
-DisasmResult linear_sweep(const zelf::Segment& text, int jobs = 1,
+DisasmResult linear_sweep(const zelf::Segment& text,
                           std::vector<AddrInsnMap::value_type>* claims_scratch = nullptr);
 
 struct TraversalResult {

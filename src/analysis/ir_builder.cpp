@@ -8,7 +8,7 @@ namespace zipr::analysis {
 using irdb::InsnId;
 using irdb::kNullInsn;
 
-Result<IrProgram> build_ir(const zelf::Image& image, const AnalysisOptions& opts, int jobs,
+Result<IrProgram> build_ir(const zelf::Image& image, const AnalysisOptions& opts,
                            AnalysisScratch* scratch) {
   ZIPR_TRY(image.validate());
   IrProgram prog;
@@ -18,8 +18,7 @@ Result<IrProgram> build_ir(const zelf::Image& image, const AnalysisOptions& opts
   prog.original.symbols.clear();
 
   const zelf::Segment& text = image.text();
-  DisasmResult linear =
-      linear_sweep(text, jobs, scratch ? &scratch->sweep_claims : nullptr);
+  DisasmResult linear = linear_sweep(text, scratch ? &scratch->sweep_claims : nullptr);
   TraversalResult recursive = recursive_traversal(image, opts.traversal, scratch);
   // The move overload steals recursive.dis (the traversal metadata the
   // later stages read stays valid).

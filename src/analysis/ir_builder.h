@@ -56,14 +56,12 @@ struct IrProgram {
   AnalysisStats stats;
 };
 
-/// Run the full IR Construction phase on a binary image. `jobs` bounds
-/// intra-phase parallelism (the linear-sweep engine); it NEVER affects the
-/// resulting IR, so it is an execution knob, not an analysis option.
-/// `scratch` likewise: if given, the phase's large transient tables borrow
-/// the scratch buffers' capacity and return it (grown) on success, so a
-/// long-lived worker stops re-faulting them every rewrite. Each buffer is
-/// fully re-initialized here -- scratch NEVER affects the resulting IR.
+/// Run the full IR Construction phase on a binary image. `scratch`, if
+/// given: the phase's large transient tables borrow the scratch buffers'
+/// capacity and return it (grown) on success, so a long-lived worker stops
+/// re-faulting them every rewrite. Each buffer is fully re-initialized
+/// here -- scratch NEVER affects the resulting IR.
 Result<IrProgram> build_ir(const zelf::Image& image, const AnalysisOptions& opts = {},
-                           int jobs = 1, AnalysisScratch* scratch = nullptr);
+                           AnalysisScratch* scratch = nullptr);
 
 }  // namespace zipr::analysis

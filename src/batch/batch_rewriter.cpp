@@ -35,17 +35,15 @@ BatchItem run_task(const BatchTask& task, const RewriteOptions& defaults,
     // corpus allocates its big transient tables ~jobs times, not 100 times.
     // Workspaces never affect output bytes, so determinism is untouched.
     auto lease = workspaces.checkout();
-    ExecPolicy exec;
-    exec.workspace = lease.get();
     if (const auto* factory = std::get_if<ImageFactory>(&task.input)) {
       if (!*factory)
         return finish(Error::invalid_argument("batch task '" + task.name +
                                               "' has an empty image factory"));
       Result<zelf::Image> img = (*factory)();
       if (!img.ok()) return finish(img.error());
-      return finish(rewrite(*img, opts, exec));
+      return finish(rewrite(*img, opts, lease.get()));
     }
-    return finish(rewrite(std::get<zelf::Image>(task.input), opts, exec));
+    return finish(rewrite(std::get<zelf::Image>(task.input), opts, lease.get()));
   } catch (const std::exception& e) {
     return finish(Error::internal("uncaught exception in batch task '" + task.name +
                                   "': " + e.what()));

@@ -138,9 +138,7 @@ Result<ServeResponse> ServeEngine::handle(ByteView input, const RewriteOptions& 
   //    pipeline's transient tables (never the output: workspaces are an
   //    execution knob, identical bytes either way).
   auto lease = workspaces_.checkout();
-  ExecPolicy exec;
-  exec.workspace = lease.get();
-  auto rewritten = rewrite(*image, options, exec);
+  auto rewritten = rewrite(*image, options, lease.get());
   if (!rewritten.ok()) return fail(rewritten.error());
 
   Artifact artifact;

@@ -37,10 +37,12 @@ Status read_exact(int fd, void* buf, std::size_t n) {
   return {};
 }
 
+/// MSG_NOSIGNAL: a peer that already hung up yields EPIPE here instead of
+/// a process-killing SIGPIPE.
 Status write_exact(int fd, const void* buf, std::size_t n) {
   const auto* p = static_cast<const unsigned char*>(buf);
   while (n > 0) {
-    ssize_t put = ::write(fd, p, n);
+    ssize_t put = ::send(fd, p, n, MSG_NOSIGNAL);
     if (put < 0) {
       if (errno == EINTR) continue;
       return sys_error("socket write");

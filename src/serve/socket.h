@@ -14,8 +14,11 @@
 //             | f64 wall_ms | u64 payload_len | payload
 //             (payload = output image bytes when ok, error text when not)
 //
-// Malformed frames, oversized lengths and short reads produce checked
-// errors on both ends; the server survives any client and keeps serving.
+// Malformed frames, oversized lengths, short reads and peers that hang up
+// before the reply produce checked errors on both ends, and the server
+// keeps serving. It does not survive every client: connections are served
+// one at a time on the accept thread with no read deadline, so a client
+// that connects and sends nothing blocks every later one.
 #pragma once
 
 #include <string>

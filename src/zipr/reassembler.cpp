@@ -5,7 +5,6 @@
 #include <cstring>
 #include <set>
 
-#include "batch/worker_pool.h"
 #include "support/log.h"
 
 namespace zipr::rewriter {
@@ -169,28 +168,13 @@ Result<std::size_t> Reassembler::emit_insn_at(const isa::Insn& in, std::uint64_t
 }
 
 Status Reassembler::apply_log() {
-  const Interval& main = space_.main_span();
-
-  // Size the overflow buffer to its final extent ONCE, before the workers
-  // start: every record then writes into stable storage and out_span never
-  // resizes mid-flight.
-  std::uint64_t need = space_.overflow_used();
-  for (const EmitRec& r : emit_log_)
-    if (r.addr >= main.end) need = std::max(need, r.addr + r.len - main.end);
-  for (const PatchRec& r : patch_log_)
-    if (r.site >= main.end) need = std::max(need, r.site + kLongJump - main.end);
-  if (need > overflow_buf_.size())
-    overflow_buf_.resize(static_cast<std::size_t>(need), kFillByte);
-
-  auto encode_one = [&](std::size_t i) -> Status {
-    const EmitRec& r = emit_log_[i];
+  for (const EmitRec& r : emit_log_) {
     ZIPR_ASSIGN_OR_RETURN(std::size_t n, isa::encode_into(r.in, out_span(r.addr, r.len)));
     if (n != r.len)
       return Error::internal("encoded length drifted from layout at " + hex_addr(r.addr));
-    return Status::success();
-  };
-  auto patch_one = [&](std::size_t i) -> Status {
-    const PatchRec& r = patch_log_[i];
+  }
+  // Patches overwrite placeholder displacements from the emit pass above.
+  for (const PatchRec& r : patch_log_) {
     std::int64_t disp =
         static_cast<std::int64_t>(r.target) - static_cast<std::int64_t>(r.site + kLongJump);
     std::span<Byte> out = out_span(r.site + 1, 4);
@@ -198,40 +182,7 @@ Status Reassembler::apply_log() {
       return Error::internal("rel32 patch at " + hex_addr(r.site) + " outside the output span");
     std::uint32_t le = static_cast<std::uint32_t>(static_cast<std::int32_t>(disp));
     std::memcpy(out.data(), &le, 4);  // VLX is little-endian
-    return Status::success();
-  };
-
-  // Each worker owns a contiguous log slice; records touch disjoint bytes,
-  // so any interleaving produces the same buffer. Patches overwrite
-  // placeholder displacements from the emit pass, hence the barrier
-  // between the two parallel_for calls.
-  auto run_slices = [&](std::size_t count,
-                        const std::function<Status(std::size_t)>& one) -> Status {
-    // Below ~4k records per worker the fork/join overhead dominates.
-    std::size_t workers = batch::effective_jobs(opts_.jobs, count / 4096);
-    if (workers <= 1) {
-      for (std::size_t i = 0; i < count; ++i) ZIPR_TRY(one(i));
-      return Status::success();
-    }
-    std::vector<Status> failed(workers);
-    batch::parallel_for(static_cast<int>(workers), workers, [&](std::size_t w) {
-      std::size_t lo = count * w / workers;
-      std::size_t hi = count * (w + 1) / workers;
-      for (std::size_t i = lo; i < hi; ++i) {
-        Status s = one(i);
-        if (!s.ok()) {
-          failed[w] = std::move(s);
-          return;
-        }
-      }
-    });
-    for (const Status& s : failed)
-      if (!s.ok()) return s.error();
-    return Status::success();
-  };
-
-  ZIPR_TRY(run_slices(emit_log_.size(), encode_one));
-  ZIPR_TRY(run_slices(patch_log_.size(), patch_one));
+  }
   return Status::success();
 }
 

@@ -21,10 +21,8 @@
 //
 // Layout and byte emission are decoupled: the resolution loop decides every
 // address and instruction width but only appends to an emission log; a
-// final apply phase encodes the log into the output buffers. Because the
-// logged writes are mutually disjoint (placeholder displacements excepted,
-// which the later patch pass overwrites), the apply phase parallelizes
-// across a worker pool with byte-identical output for any job count.
+// final apply phase encodes the log into the output buffers, then
+// overwrites the placeholder displacements with the logged rel32 patches.
 #pragma once
 
 #include <span>
@@ -51,9 +49,6 @@ struct ReassemblyOptions {
   /// the diversity strategy by default (it would correlate successor
   /// layout with predecessor layout, weakening randomization).
   bool coalesce = true;
-  /// Intra-rewrite parallelism for the emission phase (encode + patch
-  /// apply). Never affects output bytes; <= 1 runs inline.
-  int jobs = 1;
   /// Cap on how many successor dollops one emission region may absorb;
   /// bounds the main-span space a single placement decision can claim.
   std::size_t max_coalesce_run = 64;
@@ -152,8 +147,8 @@ class Reassembler {
   Status build_sleds();
   Status reserve_pin_sites();
   Status resolve_all();
-  /// Encode the emission log into the output buffers (parallel across
-  /// opts_.jobs workers), then apply the rel32 patches.
+  /// Encode the emission log into the output buffers, then apply the
+  /// rel32 patches.
   Status apply_log();
 
   // -- helpers --

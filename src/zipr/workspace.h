@@ -7,8 +7,8 @@
 // with the rewrite -- and on a serve/batch worker is immediately rebuilt
 // for the next request. A RewriteWorkspace owns both pieces so successive
 // rewrites through the same workspace run with near-zero allocation cost:
-// pass it via ExecPolicy::workspace and every large transient reuses the
-// previous request's capacity.
+// pass it to rewrite() and every large transient reuses the previous
+// request's capacity.
 //
 // Recycling NEVER affects output bytes: each buffer is fully
 // re-initialized per rewrite, and the arena is rewound before use. A

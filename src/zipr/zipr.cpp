@@ -24,15 +24,14 @@ double ms_since(Clock::time_point start) {
 // logger (thread-safe sink). Concurrent calls on distinct inputs -- or even
 // the same input -- are safe; the batch engine (src/batch) relies on this.
 Result<RewriteResult> rewrite(const zelf::Image& input, const RewriteOptions& options,
-                              const ExecPolicy& exec) {
+                              RewriteWorkspace* workspace) {
   StageTimes timing;
   Clock::time_point stage_start = Clock::now();
 
   // Phase 1: IR Construction.
-  analysis::AnalysisScratch* scratch =
-      exec.workspace ? &exec.workspace->analysis() : nullptr;
+  analysis::AnalysisScratch* scratch = workspace ? &workspace->analysis() : nullptr;
   ZIPR_ASSIGN_OR_RETURN(analysis::IrProgram prog,
-                        analysis::build_ir(input, options.analysis, exec.jobs, scratch));
+                        analysis::build_ir(input, options.analysis, scratch));
   timing.ir_ms = ms_since(stage_start);
   stage_start = Clock::now();
 
@@ -67,8 +66,7 @@ Result<RewriteResult> rewrite(const zelf::Image& input, const RewriteOptions& op
       options.placement != rewriter::PlacementKind::kDiversity);
   ropts.coalesce = options.coalesce.value_or(
       options.placement != rewriter::PlacementKind::kDiversity);
-  ropts.jobs = exec.jobs;
-  ropts.arena = exec.workspace ? exec.workspace->arena() : nullptr;
+  ropts.arena = workspace ? workspace->arena() : nullptr;
   rewriter::Reassembler reassembler(prog, ropts);
   ZIPR_ASSIGN_OR_RETURN(zelf::Image out, reassembler.run());
 
@@ -82,7 +80,7 @@ Result<RewriteResult> rewrite(const zelf::Image& input, const RewriteOptions& op
   result.timing = timing;
   // Let the workspace see this cycle's demand (and trim if an earlier
   // oversized request left it holding far more than recent traffic needs).
-  if (exec.workspace) exec.workspace->finish_cycle();
+  if (workspace) workspace->finish_cycle();
   return result;
 }
 

@@ -73,37 +73,24 @@ struct RewriteResult {
   StageTimes timing;
 };
 
-/// Execution policy for one rewrite() call: knobs that control HOW the
-/// pipeline runs, never WHAT it produces. Deliberately separate from
-/// RewriteOptions -- options are the semantic cache/serialization key
-/// (serve layer), and the output is byte-identical for any jobs value,
-/// so keying on jobs would only split the artifact cache.
 class RewriteWorkspace;  // workspace.h: recycled per-worker scratch state
 
-struct ExecPolicy {
-  /// Intra-rewrite parallelism: worker count for the parallel phases
-  /// (chunked linear-sweep disassembly, dollop encode + patch apply).
-  /// <= 1 runs every phase inline on the calling thread; 0 or negative
-  /// means "use the hardware". Output bytes are identical for all values.
-  int jobs = 1;
-
-  /// Recycled scratch state (see workspace.h): the pipeline's large
-  /// transient tables and the reassembly arena borrow this workspace's
-  /// capacity instead of allocating fresh. Null allocates per call (the
-  /// reassembly arena then falls back to its bounded thread_local). Every
-  /// borrowed buffer is re-initialized per rewrite -- output bytes are
-  /// identical with or without a workspace, so like `jobs` this stays an
-  /// execution knob, never part of the cache key.
-  RewriteWorkspace* workspace = nullptr;
-};
-
-/// Rewrite `input`, applying the configured transforms.
+/// Rewrite `input`, applying the configured transforms. The whole pipeline
+/// runs on the calling thread.
+///
+/// `workspace`, if given, lends recycled scratch state (see workspace.h):
+/// the pipeline's large transient tables and the reassembly arena borrow
+/// its capacity instead of allocating fresh. Null allocates per call (the
+/// reassembly arena then falls back to its bounded thread_local). Every
+/// borrowed buffer is re-initialized per rewrite, so output bytes are
+/// identical with or without a workspace; it is never part of the options
+/// that key the serve layer's artifact cache.
 ///
 /// REENTRANT: all pipeline state is per-call; concurrent rewrites from
 /// multiple threads are safe (see the batch engine, src/batch). The only
 /// shared state touched is the mutex-guarded transform registry and the
 /// thread-safe logger.
 Result<RewriteResult> rewrite(const zelf::Image& input, const RewriteOptions& options = {},
-                              const ExecPolicy& exec = {});
+                              RewriteWorkspace* workspace = nullptr);
 
 }  // namespace zipr

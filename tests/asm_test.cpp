@@ -386,6 +386,10 @@ struct ErrorCase {
   const char* expect_fragment;
 };
 
+// Print a case as its name; gtest's default byte dump of the pointers
+// differs from run to run, and so would the listed test names.
+void PrintTo(const ErrorCase& c, std::ostream* os) { *os << c.name; }
+
 class AsmErrorTest : public ::testing::TestWithParam<ErrorCase> {};
 
 TEST_P(AsmErrorTest, ReportsLineAndCause) {

@@ -9,6 +9,8 @@
 #include "cgc/poller.h"
 #include "cgc/workload.h"
 #include "testing_util.h"
+#include "zelf/io.h"
+#include "zipr/workspace.h"
 
 namespace zipr::cgc {
 namespace {
@@ -112,6 +114,64 @@ TEST_P(CorpusFunctionalTest, RewrittenCbsPassAllPolls) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Slices, CorpusFunctionalTest, ::testing::Range(0, 8));
+
+// Golden output digest: an order-sensitive FNV-1a over the serialized
+// output of every corpus CB plus the x1 synthetic large CB, under each
+// placement strategy. Any change to output bytes moves it, so a change
+// that means to keep the bytes must keep the constant. Each rewrite runs
+// twice -- without a workspace and through one workspace shared across the
+// whole loop -- and both must produce the same digest.
+constexpr std::uint64_t kFnvOffset = 0xcbf29ce484222325ULL;
+constexpr std::uint64_t kGoldenCorpusDigest = 0x603b78566753593dULL;
+
+std::uint64_t fnv1a(std::uint64_t h, ByteView bytes) {
+  for (Byte b : bytes) {
+    h ^= b;
+    h *= 0x100000001b3ULL;
+  }
+  return h;
+}
+
+CbSpec synthetic_large_x1() {
+  CbSpec spec;
+  spec.name = "synthetic-large-x1";
+  spec.seed = 99;
+  spec.handlers = 24;
+  spec.dispatch = DispatchMode::kFptrTable;
+  spec.filler_funcs = 48;
+  spec.filler_ops = 24;
+  spec.straightline = 600;
+  spec.scratch_pages = 4;
+  spec.data_in_text = true;
+  spec.payload_max = 12;
+  return spec;
+}
+
+TEST(Golden, CorpusOutputDigest) {
+  auto specs = cfe_corpus();
+  specs.push_back(synthetic_large_x1());
+  const rewriter::PlacementKind kinds[] = {rewriter::PlacementKind::kNearfit,
+                                           rewriter::PlacementKind::kDiversity,
+                                           rewriter::PlacementKind::kPinPage};
+  RewriteWorkspace shared;
+  std::uint64_t plain_digest = kFnvOffset, shared_digest = kFnvOffset;
+  for (const auto& spec : specs) {
+    auto cb = generate_cb(spec);
+    ASSERT_TRUE(cb.ok()) << spec.name << ": " << cb.error().message;
+    for (auto kind : kinds) {
+      RewriteOptions opts;
+      opts.placement = kind;
+      auto plain = rewrite(cb->image, opts);
+      ASSERT_TRUE(plain.ok()) << spec.name << ": " << plain.error().message;
+      plain_digest = fnv1a(plain_digest, zelf::write_image(plain->image));
+      auto recycled = rewrite(cb->image, opts, &shared);
+      ASSERT_TRUE(recycled.ok()) << spec.name << ": " << recycled.error().message;
+      shared_digest = fnv1a(shared_digest, zelf::write_image(recycled->image));
+    }
+  }
+  EXPECT_EQ(plain_digest, kGoldenCorpusDigest);
+  EXPECT_EQ(shared_digest, kGoldenCorpusDigest);
+}
 
 TEST(Metrics, HistogramBinning) {
   EXPECT_EQ(histogram_bin(-0.01), 0);

@@ -15,7 +15,12 @@
 #include <thread>
 #include <vector>
 
+#include <sys/socket.h>
+#include <sys/un.h>
 #include <unistd.h>
+
+#include <csignal>
+#include <cstring>
 
 #include "serve/cache.h"
 #include "serve/delta.h"
@@ -796,6 +801,76 @@ TEST(ServeSocket, RoundTripThenCacheHit) {
   Bytes garbage = {'j', 'u', 'n', 'k'};
   auto bad = serve::submit_over_socket(path, garbage, opts);
   EXPECT_FALSE(bad.ok());
+
+  server.join();
+  std::remove(path.c_str());
+}
+
+/// Raw client connection to a Unix-socket server; -1 on failure.
+int connect_raw(const std::string& path) {
+  int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+  if (fd < 0) return -1;
+  sockaddr_un addr{};
+  addr.sun_family = AF_UNIX;
+  std::strncpy(addr.sun_path, path.c_str(), sizeof addr.sun_path - 1);
+  if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof addr) < 0) {
+    ::close(fd);
+    return -1;
+  }
+  return fd;
+}
+
+TEST(ServeSocket, ClientsThatHangUpBeforeTheReplyDoNotKillTheServer) {
+  // The server must not depend on an inherited SIG_IGN: with the default
+  // disposition, replying to a closed peer through write(2) raises SIGPIPE
+  // and kills the whole process.
+  std::signal(SIGPIPE, SIG_DFL);
+  const std::string path =
+      (std::filesystem::temp_directory_path() /
+       ("zipr_serve_hangup_" + std::to_string(::getpid()) + ".sock"))
+          .string();
+  std::remove(path.c_str());
+
+  constexpr int kHangups = 8;  // stays under the listen backlog
+  ServeEngine engine;
+  serve::SocketServerOptions sopts;
+  sopts.path = path;
+  sopts.max_requests = 1 + kHangups + 1;  // gate, hang-ups, good request
+  std::thread server([&] {
+    Status st = serve::serve_on_socket(engine, sopts);
+    EXPECT_TRUE(st.ok()) << st.error().message;
+  });
+
+  // The gate connects and sends nothing, holding the serial accept loop
+  // while the other clients queue up. Every hang-up client has therefore
+  // closed before the server reads its header and sends the error reply.
+  int gate = -1;
+  for (int attempt = 0; attempt < 200 && gate < 0; ++attempt) {
+    gate = connect_raw(path);
+    if (gate < 0) std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  ASSERT_GE(gate, 0) << "server never accepted";
+
+  std::vector<std::thread> clients;
+  std::atomic<int> sent{0};
+  for (int i = 0; i < kHangups; ++i) {
+    clients.emplace_back([&] {
+      int fd = connect_raw(path);
+      if (fd < 0) return;
+      const std::uint8_t bad_header[16] = {'n', 'o', 'p', 'e'};
+      if (::write(fd, bad_header, sizeof bad_header) == sizeof bad_header) ++sent;
+      ::close(fd);
+    });
+  }
+  for (auto& c : clients) c.join();
+  EXPECT_EQ(sent.load(), kHangups);
+  ::close(gate);
+
+  Bytes input = assemble_bytes(kDataProgram);
+  RewriteOptions opts;
+  auto good = serve::submit_over_socket(path, input, opts);
+  ASSERT_TRUE(good.ok()) << good.error().message;
+  EXPECT_EQ(good->output, cold_reference(input, opts));
 
   server.join();
   std::remove(path.c_str());

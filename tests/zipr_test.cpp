@@ -969,7 +969,7 @@ TEST(Sled, ThreeAdjacentPins) {
   }
 }
 
-// ---- recycled workspaces (ExecPolicy::workspace) ----
+// ---- recycled workspaces (rewrite()'s workspace parameter) ----
 
 // A straight-line program whose size scales linearly with `n`, for driving
 // the workspace's text-proportional scratch tables to chosen demands.
@@ -987,10 +987,8 @@ TEST(Workspace, RecyclingNeverChangesOutputBytes) {
   Bytes reference = zelf::write_image(must_rewrite(img, opts).image);
 
   RewriteWorkspace ws;
-  ExecPolicy exec;
-  exec.workspace = &ws;
   for (int pass = 0; pass < 3; ++pass) {
-    auto r = rewrite(img, opts, exec);
+    auto r = rewrite(img, opts, &ws);
     ASSERT_TRUE(r.ok()) << r.error().message;
     EXPECT_EQ(zelf::write_image(r->image), reference)
         << "recycled workspace drifted on pass " << pass;
@@ -1008,11 +1006,9 @@ TEST(Workspace, ReuseAcrossDifferentImagesMatchesFreshRewrites) {
   // Big then small then big again through ONE workspace: stale capacity
   // from a previous (differently-sized) input must never leak into bytes.
   RewriteWorkspace ws;
-  ExecPolicy exec;
-  exec.workspace = &ws;
   for (const auto* want : {&ref_a, &ref_b, &ref_a}) {
     const zelf::Image& img = (want == &ref_a) ? a : b;
-    auto r = rewrite(img, {}, exec);
+    auto r = rewrite(img, {}, &ws);
     ASSERT_TRUE(r.ok()) << r.error().message;
     EXPECT_EQ(zelf::write_image(r->image), *want);
   }
@@ -1025,9 +1021,7 @@ TEST(Workspace, OversizedCycleAgesOutOfTheRetentionWindow) {
   zelf::Image small = must_assemble(straightline_program(50));
 
   RewriteWorkspace ws;
-  ExecPolicy exec;
-  exec.workspace = &ws;
-  ASSERT_TRUE(rewrite(big, {}, exec).ok());
+  ASSERT_TRUE(rewrite(big, {}, &ws).ok());
   std::size_t after_big = ws.retained_bytes();
   ASSERT_GT(after_big, 0u);
 
@@ -1035,7 +1029,7 @@ TEST(Workspace, OversizedCycleAgesOutOfTheRetentionWindow) {
   // ages out and finish_cycle() releases down to ~2x the small demand.
   std::size_t settled = after_big;
   for (int i = 0; i < 8; ++i) {
-    ASSERT_TRUE(rewrite(small, {}, exec).ok());
+    ASSERT_TRUE(rewrite(small, {}, &ws).ok());
     settled = std::min(settled, ws.retained_bytes());
   }
   EXPECT_LT(settled, after_big / 2)
@@ -1043,7 +1037,7 @@ TEST(Workspace, OversizedCycleAgesOutOfTheRetentionWindow) {
       << after_big << " -> " << settled << " bytes)";
 
   // And the trimmed workspace still produces correct bytes.
-  auto r = rewrite(small, {}, exec);
+  auto r = rewrite(small, {}, &ws);
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(zelf::write_image(r->image), zelf::write_image(must_rewrite(small).image));
 }
