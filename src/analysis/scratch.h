@@ -16,6 +16,7 @@
 #pragma once
 
 #include <cstdint>
+#include <type_traits>
 #include <vector>
 
 #include "analysis/disasm.h"
@@ -68,15 +69,18 @@ struct AnalysisScratch {
   /// Release every buffer (capacity included). The next pass re-reserves
   /// to its actual need, so trimming after an oversized input costs one
   /// round of fresh allocations, not correctness.
+  /// (Swap with a fresh vector: `v = {}` picks the initializer_list
+  /// assignment, which clears but keeps the capacity.)
   void trim() {
-    sweep_claims = {};
-    code_claims = {};
-    byte_state = {};
-    row_at = {};
-    entry_rows = {};
-    work = {};
-    traversal_work = {};
-    function_members = {};
+    auto release = [](auto& v) { std::remove_reference_t<decltype(v)>().swap(v); };
+    release(sweep_claims);
+    release(code_claims);
+    release(byte_state);
+    release(row_at);
+    release(entry_rows);
+    release(work);
+    release(traversal_work);
+    release(function_members);
   }
 };
 

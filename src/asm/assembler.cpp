@@ -5,16 +5,14 @@
 #include <optional>
 #include <vector>
 
-#include "isa/insn.h"
+#include "isa/table.h"
 
 namespace zipr::assembler {
 
 namespace {
 
 using isa::BranchWidth;
-using isa::Cond;
 using isa::Insn;
-using isa::Op;
 
 enum class Section { kText, kRodata, kData, kBss };
 
@@ -188,7 +186,9 @@ class Parser {
       }
       return std::nullopt;
     }
-    std::int64_t v = 0;
+    // Accumulate unsigned: a 64-bit literal above INT64_MAX (a .quad bit
+    // pattern) wraps to the same bits instead of overflowing.
+    std::uint64_t v = 0;
     if (t.size() > 2 && t[0] == '0' && (t[1] == 'x' || t[1] == 'X')) {
       for (char c : t.substr(2)) {
         int d;
@@ -204,7 +204,7 @@ class Parser {
         v = v * 10 + (c - '0');
       }
     }
-    return neg ? -v : v;
+    return static_cast<std::int64_t>(neg ? 0 - v : v);
   }
 
   // Parse `const` | `symbol` | `symbol+const` | `symbol-const`.
@@ -460,157 +460,96 @@ class Parser {
     std::string m(line.substr(0, sp));
     std::string_view rest = sp == std::string_view::npos ? "" : trim(line.substr(sp));
     auto ops = split_operands(rest);
+    const isa::Spec* spec = isa::find_mnemonic(m);
+    if (!spec) return err("unknown mnemonic '" + m + "'");
 
     Stmt s;
     s.kind = StmtKind::kInsn;
     Insn& in = s.insn;
-
-    auto finish = [&]() -> Status {
-      s.size = static_cast<std::size_t>(isa::encoded_length(in));
-      in.length = static_cast<std::uint8_t>(s.size);
-      return push_stmt(std::move(s));
-    };
+    in.op = spec->op;
+    in.cond = spec->cond;
+    in.width = spec->width();
     auto need = [&](std::size_t n) -> Status {
       if (ops.size() != n)
         return err(m + " expects " + std::to_string(n) + " operand(s)");
       return Status::success();
     };
-
-    // No-operand forms.
-    if (m == "ret") { in.op = Op::kRet; ZIPR_TRY(need(0)); return finish(); }
-    if (m == "nop") { in.op = Op::kNop; ZIPR_TRY(need(0)); return finish(); }
-    if (m == "hlt") { in.op = Op::kHlt; ZIPR_TRY(need(0)); return finish(); }
-    if (m == "syscall") { in.op = Op::kSyscall; ZIPR_TRY(need(0)); return finish(); }
-
-    // Branches (expression target, PC-relative).
-    auto branch = [&](Op op, Cond c, BranchWidth w) -> Status {
-      ZIPR_TRY(need(1));
-      in.op = op;
-      in.cond = c;
-      in.width = w;
-      ZIPR_ASSIGN_OR_RETURN(s.target, parse_expr(ops[0]));
+    // Operand `i` as an expression for pass 2; relative ones become
+    // value - end-of-insn.
+    auto target = [&](std::size_t i, bool relative) -> Status {
+      ZIPR_ASSIGN_OR_RETURN(s.target, parse_expr(ops[i]));
       s.has_target = true;
-      s.target_is_relative = true;
-      return finish();
+      s.target_is_relative = relative;
+      return Status::success();
     };
-    if (m == "jmp") return branch(Op::kJmp, Cond::kEq, BranchWidth::kRel32);
-    if (m == "jmp8") return branch(Op::kJmp, Cond::kEq, BranchWidth::kRel8);
-    if (m == "call") return branch(Op::kCall, Cond::kEq, BranchWidth::kRel32);
-    static const std::map<std::string, Cond> kConds = {
-        {"eq", Cond::kEq}, {"ne", Cond::kNe}, {"lt", Cond::kLt}, {"le", Cond::kLe},
-        {"gt", Cond::kGt}, {"ge", Cond::kGe}, {"b", Cond::kB},   {"ae", Cond::kAe}};
-    if (m.size() >= 2 && m[0] == 'j') {
-      std::string cc = m.substr(1);
-      bool rel8 = false;
-      if (cc.size() > 1 && cc.back() == '8') {
-        rel8 = true;
-        cc.pop_back();
+
+    switch (spec->form) {
+      case isa::Form::kNone: case isa::Form::kSys:
+        ZIPR_TRY(need(0));
+        break;
+      case isa::Form::kRegInOp: case isa::Form::kReg: {
+        ZIPR_TRY(need(1));
+        ZIPR_ASSIGN_OR_RETURN(in.ra, parse_reg(ops[0]));
+        break;
       }
-      auto it = kConds.find(cc);
-      if (it != kConds.end())
-        return branch(Op::kJcc, it->second, rel8 ? BranchWidth::kRel8 : BranchWidth::kRel32);
-    }
-
-    // Register forms.
-    if (m == "push" || m == "pop" || m == "callr" || m == "jmpr") {
-      ZIPR_TRY(need(1));
-      in.op = m == "push" ? Op::kPush : m == "pop" ? Op::kPop
-              : m == "callr" ? Op::kCallR : Op::kJmpR;
-      ZIPR_ASSIGN_OR_RETURN(in.ra, parse_reg(ops[0]));
-      return finish();
-    }
-
-    if (m == "jmpt") {
-      ZIPR_TRY(need(2));
-      in.op = Op::kJmpT;
-      ZIPR_ASSIGN_OR_RETURN(in.ra, parse_reg(ops[0]));
-      ZIPR_ASSIGN_OR_RETURN(s.target, parse_expr(ops[1]));
-      s.has_target = true;  // absolute
-      return finish();
-    }
-
-    if (m == "pushi") {
-      ZIPR_TRY(need(1));
-      in.op = Op::kPushI;
-      ZIPR_ASSIGN_OR_RETURN(s.target, parse_expr(ops[0]));
-      s.has_target = true;
-      return finish();
-    }
-
-    // reg,imm-expression forms.
-    static const std::map<std::string, Op> kRegImm = {
-        {"movi", Op::kMovI}, {"movi64", Op::kMovI64}, {"addi", Op::kAddI},
-        {"subi", Op::kSubI}, {"andi", Op::kAndI},     {"ori", Op::kOrI},
-        {"xori", Op::kXorI}, {"shli", Op::kShlI},     {"shri", Op::kShrI},
-        {"cmpi", Op::kCmpI}};
-    if (auto it = kRegImm.find(m); it != kRegImm.end()) {
-      ZIPR_TRY(need(2));
-      in.op = it->second;
-      ZIPR_ASSIGN_OR_RETURN(in.ra, parse_reg(ops[0]));
-      ZIPR_ASSIGN_OR_RETURN(s.target, parse_expr(ops[1]));
-      s.has_target = true;
-      return finish();
-    }
-
-    // reg,reg forms.
-    static const std::map<std::string, Op> kRegReg = {
-        {"mov", Op::kMov}, {"add", Op::kAdd}, {"sub", Op::kSub}, {"and", Op::kAnd},
-        {"or", Op::kOr},   {"xor", Op::kXor}, {"mul", Op::kMul}, {"div", Op::kDiv},
-        {"mod", Op::kMod}, {"shl", Op::kShl}, {"shr", Op::kShr}, {"sar", Op::kSar},
-        {"cmp", Op::kCmp}, {"test", Op::kTest}};
-    if (auto it = kRegReg.find(m); it != kRegReg.end()) {
-      ZIPR_TRY(need(2));
-      in.op = it->second;
-      ZIPR_ASSIGN_OR_RETURN(in.ra, parse_reg(ops[0]));
-      ZIPR_ASSIGN_OR_RETURN(in.rb, parse_reg(ops[1]));
-      return finish();
-    }
-
-    // Memory forms.
-    if (m == "load" || m == "load8") {
-      ZIPR_TRY(need(2));
-      in.op = m == "load" ? Op::kLoad : Op::kLoad8;
-      ZIPR_ASSIGN_OR_RETURN(in.ra, parse_reg(ops[0]));
-      ZIPR_ASSIGN_OR_RETURN(auto mem, parse_mem(ops[1]));
-      in.rb = mem.first;
-      in.imm = mem.second;
-      return finish();
-    }
-    if (m == "store" || m == "store8") {
-      ZIPR_TRY(need(2));
-      in.op = m == "store" ? Op::kStore : Op::kStore8;
-      ZIPR_ASSIGN_OR_RETURN(auto mem, parse_mem(ops[0]));
-      in.ra = mem.first;
-      in.imm = mem.second;
-      ZIPR_ASSIGN_OR_RETURN(in.rb, parse_reg(ops[1]));
-      return finish();
-    }
-
-    // PC-relative data forms: `lea r1, label` or `lea r1, [pc+8]`.
-    if (m == "lea" || m == "loadpc") {
-      ZIPR_TRY(need(2));
-      in.op = m == "lea" ? Op::kLea : Op::kLoadPc;
-      ZIPR_ASSIGN_OR_RETURN(in.ra, parse_reg(ops[0]));
-      auto t = trim(ops[1]);
-      if (!t.empty() && t.front() == '[') {
+      case isa::Form::kRegReg: {
+        ZIPR_TRY(need(2));
+        ZIPR_ASSIGN_OR_RETURN(in.ra, parse_reg(ops[0]));
+        ZIPR_ASSIGN_OR_RETURN(in.rb, parse_reg(ops[1]));
+        break;
+      }
+      case isa::Form::kRel8: case isa::Form::kRel32:
+        ZIPR_TRY(need(1));
+        ZIPR_TRY(target(0, true));
+        break;
+      case isa::Form::kImm32:
+        ZIPR_TRY(need(1));
+        ZIPR_TRY(target(0, false));
+        break;
+      case isa::Form::kRegImm32: case isa::Form::kRegAbs32: case isa::Form::kRegImm64: {
+        ZIPR_TRY(need(2));
+        ZIPR_ASSIGN_OR_RETURN(in.ra, parse_reg(ops[0]));
+        ZIPR_TRY(target(1, false));
+        break;
+      }
+      case isa::Form::kPcRel: {
+        // `lea r1, label` or `lea r1, [pc+8]`.
+        ZIPR_TRY(need(2));
+        ZIPR_ASSIGN_OR_RETURN(in.ra, parse_reg(ops[0]));
+        auto t = trim(ops[1]);
+        if (t.empty() || t.front() != '[') {
+          ZIPR_TRY(target(1, true));
+          break;
+        }
         if (t.substr(0, 3) != "[pc") return err(m + " memory form must be [pc+disp]");
         auto inner = trim(t.substr(3, t.size() - 4));
-        std::int64_t disp = 0;
         if (!inner.empty()) {
           auto v = parse_int(inner);
           if (!v) return err("bad pc displacement");
-          disp = *v;
+          in.imm = *v;
         }
-        in.imm = disp;
-        return finish();
+        break;
       }
-      ZIPR_ASSIGN_OR_RETURN(s.target, parse_expr(ops[1]));
-      s.has_target = true;
-      s.target_is_relative = true;  // disp = value - end-of-insn
-      return finish();
+      case isa::Form::kLoad: {
+        ZIPR_TRY(need(2));
+        ZIPR_ASSIGN_OR_RETURN(in.ra, parse_reg(ops[0]));
+        ZIPR_ASSIGN_OR_RETURN(auto mem, parse_mem(ops[1]));
+        in.rb = mem.first;
+        in.imm = mem.second;
+        break;
+      }
+      case isa::Form::kStore: {
+        ZIPR_TRY(need(2));
+        ZIPR_ASSIGN_OR_RETURN(auto mem, parse_mem(ops[0]));
+        in.ra = mem.first;
+        in.imm = mem.second;
+        ZIPR_ASSIGN_OR_RETURN(in.rb, parse_reg(ops[1]));
+        break;
+      }
     }
-
-    return err("unknown mnemonic '" + m + "'");
+    s.size = spec->length;
+    in.length = spec->length;
+    return push_stmt(std::move(s));
   }
 
   // ---- pass 2: evaluation + encoding ----
@@ -651,7 +590,7 @@ class Parser {
           break;
         case StmtKind::kAlign:
         case StmtKind::kOrg: {
-          Byte fill = s.section == Section::kText ? Byte{0x90} : Byte{0};
+          Byte fill = s.section == Section::kText ? isa::opc::kNop : Byte{0};
           out.insert(out.end(), s.size, fill);
           break;
         }
@@ -662,8 +601,7 @@ class Parser {
             if (s.target_is_relative) {
               in.imm = val - static_cast<std::int64_t>(s.addr + s.size);
               if (in.width == BranchWidth::kRel8 &&
-                  (in.imm < isa::kRel8Min || in.imm > isa::kRel8Max) &&
-                  (in.op == Op::kJmp || in.op == Op::kJcc))
+                  (in.imm < isa::kRel8Min || in.imm > isa::kRel8Max))
                 return err("rel8 branch target out of range (" + std::to_string(in.imm) + ")");
             } else {
               in.imm = val;

@@ -156,7 +156,7 @@ Result<Database> deserialize(std::string_view text) {
       if (!have_bytes) return err("insn row has no bytes");
       if (!row.verbatim) {
         auto decoded = isa::decode(row.orig_bytes);
-        if (!decoded.ok()) return err("undecodable insn bytes");
+        if (!decoded.ok()) return err("undecodable insn bytes: " + decoded.error().message);
         row.decoded = *decoded;
         if (!row.orig_addr) row.orig_bytes.clear();  // transform-created row
       }

@@ -1,455 +1,103 @@
-#include <cstddef>
+#include <cstring>
 
-#include "isa/insn.h"
+#include "isa/table.h"
 
 namespace zipr::isa {
 
 namespace {
 
-// Split a packed register byte (dst<<4 | src); each nibble must name a
-// valid register.
-Result<std::pair<std::uint8_t, std::uint8_t>> reg_pair(std::uint8_t b) {
-  std::uint8_t hi = b >> 4, lo = b & 0x0f;
-  if (hi >= kNumRegs || lo >= kNumRegs)
-    return Error::decode("register operand out of range");
-  return std::make_pair(hi, lo);
-}
-
-Result<std::uint8_t> one_reg(std::uint8_t b) {
-  if (b >= kNumRegs) return Error::decode("register operand out of range");
-  return b;
+// Inline, unlike support/bytes.h's get_*: decode_at is the hot path of the
+// sweep, the traversal and the VM's page predecode.
+template <typename T>
+T load_le(const Byte* p) {
+  T v;
+  std::memcpy(&v, p, sizeof v);  // VLX is little-endian
+  return v;
 }
 
 }  // namespace
 
-Result<Insn> decode(ByteView bytes) {
-  if (bytes.empty()) return Error::decode("empty byte range");
-  ByteReader r(bytes);
-  const std::uint8_t op0 = r.u8().value();
-
-  Insn in;
-  auto rr_form = [&](Op op) -> Result<Insn> {
-    auto b = r.u8();
-    if (!b.ok()) return Error::decode("truncated reg-pair operand");
-    ZIPR_ASSIGN_OR_RETURN(auto pr, reg_pair(*b));
-    in.op = op;
-    in.ra = pr.first;
-    in.rb = pr.second;
-    in.length = 2;
-    return in;
-  };
-  auto ri_form = [&](Op op) -> Result<Insn> {
-    auto b = r.u8();
-    if (!b.ok()) return Error::decode("truncated reg operand");
-    ZIPR_ASSIGN_OR_RETURN(in.ra, one_reg(*b));
-    auto imm = r.i32();
-    if (!imm.ok()) return Error::decode("truncated imm32 operand");
-    in.op = op;
-    in.imm = *imm;
-    in.length = 6;
-    return in;
-  };
-  auto mem_form = [&](Op op) -> Result<Insn> {
-    auto b = r.u8();
-    if (!b.ok()) return Error::decode("truncated reg-pair operand");
-    ZIPR_ASSIGN_OR_RETURN(auto pr, reg_pair(*b));
-    auto disp = r.i32();
-    if (!disp.ok()) return Error::decode("truncated disp32 operand");
-    in.op = op;
-    in.ra = pr.first;
-    in.rb = pr.second;
-    in.imm = *disp;
-    in.length = 6;
-    return in;
-  };
-
-  switch (op0) {
-    case opc::kNop:
-      in.op = Op::kNop;
-      in.length = 1;
-      return in;
-    case opc::kHlt:
-      in.op = Op::kHlt;
-      in.length = 1;
-      return in;
-    case opc::kRet:
-      in.op = Op::kRet;
-      in.length = 1;
-      return in;
-
-    case opc::kJmp8: {
-      auto d = r.i8();
-      if (!d.ok()) return Error::decode("truncated jmp rel8");
-      in.op = Op::kJmp;
-      in.width = BranchWidth::kRel8;
-      in.imm = *d;
-      in.length = kJmp8Len;
-      return in;
-    }
-    case opc::kJmp32: {
-      auto d = r.i32();
-      if (!d.ok()) return Error::decode("truncated jmp rel32");
-      in.op = Op::kJmp;
-      in.width = BranchWidth::kRel32;
-      in.imm = *d;
-      in.length = kJmp32Len;
-      return in;
-    }
-    case opc::kCall: {
-      auto d = r.i32();
-      if (!d.ok()) return Error::decode("truncated call rel32");
-      in.op = Op::kCall;
-      in.imm = *d;
-      in.length = kCallLen;
-      return in;
-    }
-    case opc::kPushI: {
-      auto v = r.u32();
-      if (!v.ok()) return Error::decode("truncated push imm32");
-      in.op = Op::kPushI;
-      in.imm = static_cast<std::int64_t>(*v);  // zero-extended
-      in.length = 5;
-      return in;
-    }
-    case opc::kMovI64: {
-      auto b = r.u8();
-      if (!b.ok()) return Error::decode("truncated movi64 reg");
-      ZIPR_ASSIGN_OR_RETURN(in.ra, one_reg(*b));
-      auto v = r.u64();
-      if (!v.ok()) return Error::decode("truncated movi64 imm");
-      in.op = Op::kMovI64;
-      in.imm = static_cast<std::int64_t>(*v);
-      in.length = 10;
-      return in;
-    }
-    case opc::kMovI:
-      return ri_form(Op::kMovI);
-    case opc::kMov:
-      return rr_form(Op::kMov);
-    case opc::kLoad:
-      return mem_form(Op::kLoad);
-    case opc::kStore:
-      return mem_form(Op::kStore);
-    case opc::kLoad8:
-      return mem_form(Op::kLoad8);
-    case opc::kStore8:
-      return mem_form(Op::kStore8);
-    case opc::kLoadPc: {
-      auto b = r.u8();
-      if (!b.ok()) return Error::decode("truncated loadpc reg");
-      ZIPR_ASSIGN_OR_RETURN(in.ra, one_reg(*b));
-      auto d = r.i32();
-      if (!d.ok()) return Error::decode("truncated loadpc disp");
-      in.op = Op::kLoadPc;
-      in.imm = *d;
-      in.length = 6;
-      return in;
-    }
-    case opc::kLea: {
-      auto b = r.u8();
-      if (!b.ok()) return Error::decode("truncated lea reg");
-      ZIPR_ASSIGN_OR_RETURN(in.ra, one_reg(*b));
-      auto d = r.i32();
-      if (!d.ok()) return Error::decode("truncated lea disp");
-      in.op = Op::kLea;
-      in.imm = *d;
-      in.length = 6;
-      return in;
-    }
-
-    case opc::kCallR: {
-      auto b = r.u8();
-      if (!b.ok()) return Error::decode("truncated callr reg");
-      ZIPR_ASSIGN_OR_RETURN(in.ra, one_reg(*b));
-      in.op = Op::kCallR;
-      in.length = 2;
-      return in;
-    }
-    case opc::kJmpR: {
-      auto b = r.u8();
-      if (!b.ok()) return Error::decode("truncated jmpr reg");
-      ZIPR_ASSIGN_OR_RETURN(in.ra, one_reg(*b));
-      in.op = Op::kJmpR;
-      in.length = 2;
-      return in;
-    }
-    case opc::kJmpT: {
-      auto b = r.u8();
-      if (!b.ok()) return Error::decode("truncated jmpt reg");
-      ZIPR_ASSIGN_OR_RETURN(in.ra, one_reg(*b));
-      auto tab = r.u32();
-      if (!tab.ok()) return Error::decode("truncated jmpt table");
-      in.op = Op::kJmpT;
-      in.imm = static_cast<std::int64_t>(*tab);  // absolute table address
-      in.length = 6;
-      return in;
-    }
-
-    case opc::kSysPrefix: {
-      auto b = r.u8();
-      if (!b.ok() || *b != opc::kSysSuffix) return Error::decode("bad syscall suffix");
-      in.op = Op::kSyscall;
-      in.length = 2;
-      return in;
-    }
-
-    case opc::kAdd: return rr_form(Op::kAdd);
-    case opc::kSub: return rr_form(Op::kSub);
-    case opc::kAnd: return rr_form(Op::kAnd);
-    case opc::kOr: return rr_form(Op::kOr);
-    case opc::kXor: return rr_form(Op::kXor);
-    case opc::kMul: return rr_form(Op::kMul);
-    case opc::kDiv: return rr_form(Op::kDiv);
-    case opc::kMod: return rr_form(Op::kMod);
-    case opc::kShl: return rr_form(Op::kShl);
-    case opc::kShr: return rr_form(Op::kShr);
-    case opc::kSar: return rr_form(Op::kSar);
-    case opc::kCmp: return rr_form(Op::kCmp);
-    case opc::kTest: return rr_form(Op::kTest);
-
-    case opc::kAddI: return ri_form(Op::kAddI);
-    case opc::kSubI: return ri_form(Op::kSubI);
-    case opc::kAndI: return ri_form(Op::kAndI);
-    case opc::kOrI: return ri_form(Op::kOrI);
-    case opc::kXorI: return ri_form(Op::kXorI);
-    case opc::kShlI: return ri_form(Op::kShlI);
-    case opc::kShrI: return ri_form(Op::kShrI);
-    case opc::kCmpI: return ri_form(Op::kCmpI);
-
-    default:
-      break;
-  }
-
-  if (op0 >= opc::kPushBase && op0 < opc::kPushBase + kNumRegs) {
-    in.op = Op::kPush;
-    in.ra = op0 & 0x07;
-    in.length = 1;
-    return in;
-  }
-  if (op0 >= opc::kPopBase && op0 < opc::kPopBase + kNumRegs) {
-    in.op = Op::kPop;
-    in.ra = op0 & 0x07;
-    in.length = 1;
-    return in;
-  }
-  if (op0 >= opc::kJcc8Base && op0 < opc::kJcc8Base + 8) {
-    auto d = r.i8();
-    if (!d.ok()) return Error::decode("truncated jcc rel8");
-    in.op = Op::kJcc;
-    in.cond = static_cast<Cond>(op0 & 0x07);
-    in.width = BranchWidth::kRel8;
-    in.imm = *d;
-    in.length = kJcc8Len;
-    return in;
-  }
-  if (op0 >= opc::kJcc32Base && op0 < opc::kJcc32Base + 8) {
-    auto d = r.i32();
-    if (!d.ok()) return Error::decode("truncated jcc rel32");
-    in.op = Op::kJcc;
-    in.cond = static_cast<Cond>(op0 & 0x07);
-    in.width = BranchWidth::kRel32;
-    in.imm = *d;
-    in.length = kJcc32Len;
-    return in;
-  }
-
-  return Error::decode("invalid opcode " + hex_addr(op0));
-}
-
-// Allocation-free twin of decode(): same accepted encodings, same Insn
-// fields, but failures return false instead of composing an Error string.
-// Kept structurally parallel to decode() above; IsaDecode.DecodeAtAgrees
-// (isa_test) differentially checks the two over exhaustive-prefix and
-// random byte strings so they cannot drift apart.
 bool decode_at(ByteView bytes, Insn& out) {
-  const std::size_t n = bytes.size();
-  if (n == 0) return false;
+  if (bytes.empty()) return false;
+  const std::uint8_t idx = kOpcodeSpec[bytes[0]];
+  if (idx == kNoSpec) return false;
+  const Spec& s = kSpecs[idx];
+  if (bytes.size() < s.length) return false;
+
   const Byte* b = bytes.data();
-  const std::uint8_t op0 = b[0];
-
-  auto rr_form = [&](Op op) {
-    if (n < 2) return false;
-    const std::uint8_t hi = b[1] >> 4, lo = b[1] & 0x0f;
-    if (hi >= kNumRegs || lo >= kNumRegs) return false;
-    out.op = op;
-    out.ra = hi;
-    out.rb = lo;
-    out.length = 2;
-    return true;
-  };
-  auto ri_form = [&](Op op) {
-    if (n < 6 || b[1] >= kNumRegs) return false;
-    out.op = op;
-    out.ra = b[1];
-    out.imm = get_i32(bytes, 2);
-    out.length = 6;
-    return true;
-  };
-  auto mem_form = [&](Op op) {
-    if (n < 6) return false;
-    const std::uint8_t hi = b[1] >> 4, lo = b[1] & 0x0f;
-    if (hi >= kNumRegs || lo >= kNumRegs) return false;
-    out.op = op;
-    out.ra = hi;
-    out.rb = lo;
-    out.imm = get_i32(bytes, 2);
-    out.length = 6;
-    return true;
-  };
   out = Insn{};
-  switch (op0) {
-    case opc::kNop: out.op = Op::kNop; out.length = 1; return true;
-    case opc::kHlt: out.op = Op::kHlt; out.length = 1; return true;
-    case opc::kRet: out.op = Op::kRet; out.length = 1; return true;
-
-    case opc::kJmp8:
-      if (n < 2) return false;
-      out.op = Op::kJmp;
-      out.width = BranchWidth::kRel8;
+  out.op = s.op;
+  out.length = s.length;
+  out.cond = s.cond;
+  out.width = s.width();
+  switch (s.form) {
+    case Form::kNone:
+      return true;
+    case Form::kSys:
+      return b[1] == opc::kSysSuffix;
+    case Form::kRegInOp:
+      out.ra = static_cast<std::uint8_t>(b[0] - s.opcode);
+      return true;
+    case Form::kReg:
+      out.ra = b[1];
+      return out.ra < kNumRegs;
+    case Form::kRegReg:
+      out.ra = b[1] >> 4;
+      out.rb = b[1] & 0x0f;
+      return out.ra < kNumRegs && out.rb < kNumRegs;
+    case Form::kRel8:
       out.imm = static_cast<std::int8_t>(b[1]);
-      out.length = kJmp8Len;
       return true;
-    case opc::kJmp32:
-      if (n < 5) return false;
-      out.op = Op::kJmp;
-      out.width = BranchWidth::kRel32;
-      out.imm = get_i32(bytes, 1);
-      out.length = kJmp32Len;
+    case Form::kRel32:
+      out.imm = load_le<std::int32_t>(b + 1);
       return true;
-    case opc::kCall:
-      if (n < 5) return false;
-      out.op = Op::kCall;
-      out.imm = get_i32(bytes, 1);
-      out.length = kCallLen;
+    case Form::kImm32:
+      out.imm = load_le<std::uint32_t>(b + 1);  // zero-extended
       return true;
-    case opc::kPushI:
-      if (n < 5) return false;
-      out.op = Op::kPushI;
-      out.imm = static_cast<std::int64_t>(get_u32(bytes, 1));  // zero-extended
-      out.length = 5;
-      return true;
-    case opc::kMovI64:
-      if (n < 10 || b[1] >= kNumRegs) return false;
-      out.op = Op::kMovI64;
+    case Form::kRegImm32:
+    case Form::kPcRel:
       out.ra = b[1];
-      out.imm = static_cast<std::int64_t>(get_u64(bytes, 2));
-      out.length = 10;
-      return true;
-    case opc::kMovI: return ri_form(Op::kMovI);
-    case opc::kMov: return rr_form(Op::kMov);
-    case opc::kLoad: return mem_form(Op::kLoad);
-    case opc::kStore: return mem_form(Op::kStore);
-    case opc::kLoad8: return mem_form(Op::kLoad8);
-    case opc::kStore8: return mem_form(Op::kStore8);
-    case opc::kLoadPc: return ri_form(Op::kLoadPc);
-    case opc::kLea: return ri_form(Op::kLea);
-
-    case opc::kCallR:
-      if (n < 2 || b[1] >= kNumRegs) return false;
-      out.op = Op::kCallR;
+      out.imm = load_le<std::int32_t>(b + 2);
+      return out.ra < kNumRegs;
+    case Form::kRegAbs32:
       out.ra = b[1];
-      out.length = 2;
-      return true;
-    case opc::kJmpR:
-      if (n < 2 || b[1] >= kNumRegs) return false;
-      out.op = Op::kJmpR;
+      out.imm = load_le<std::uint32_t>(b + 2);  // zero-extended absolute address
+      return out.ra < kNumRegs;
+    case Form::kRegImm64:
       out.ra = b[1];
-      out.length = 2;
-      return true;
-    case opc::kJmpT:
-      if (n < 6 || b[1] >= kNumRegs) return false;
-      out.op = Op::kJmpT;
-      out.ra = b[1];
-      out.imm = static_cast<std::int64_t>(get_u32(bytes, 2));  // absolute table address
-      out.length = 6;
-      return true;
-
-    case opc::kSysPrefix:
-      if (n < 2 || b[1] != opc::kSysSuffix) return false;
-      out.op = Op::kSyscall;
-      out.length = 2;
-      return true;
-
-    case opc::kAdd: return rr_form(Op::kAdd);
-    case opc::kSub: return rr_form(Op::kSub);
-    case opc::kAnd: return rr_form(Op::kAnd);
-    case opc::kOr: return rr_form(Op::kOr);
-    case opc::kXor: return rr_form(Op::kXor);
-    case opc::kMul: return rr_form(Op::kMul);
-    case opc::kDiv: return rr_form(Op::kDiv);
-    case opc::kMod: return rr_form(Op::kMod);
-    case opc::kShl: return rr_form(Op::kShl);
-    case opc::kShr: return rr_form(Op::kShr);
-    case opc::kSar: return rr_form(Op::kSar);
-    case opc::kCmp: return rr_form(Op::kCmp);
-    case opc::kTest: return rr_form(Op::kTest);
-
-    case opc::kAddI: return ri_form(Op::kAddI);
-    case opc::kSubI: return ri_form(Op::kSubI);
-    case opc::kAndI: return ri_form(Op::kAndI);
-    case opc::kOrI: return ri_form(Op::kOrI);
-    case opc::kXorI: return ri_form(Op::kXorI);
-    case opc::kShlI: return ri_form(Op::kShlI);
-    case opc::kShrI: return ri_form(Op::kShrI);
-    case opc::kCmpI: return ri_form(Op::kCmpI);
-
-    default:
-      break;
+      out.imm = static_cast<std::int64_t>(load_le<std::uint64_t>(b + 2));
+      return out.ra < kNumRegs;
+    case Form::kLoad:
+    case Form::kStore:
+      out.ra = b[1] >> 4;
+      out.rb = b[1] & 0x0f;
+      out.imm = load_le<std::int32_t>(b + 2);
+      return out.ra < kNumRegs && out.rb < kNumRegs;
   }
-
-  if (op0 >= opc::kPushBase && op0 < opc::kPushBase + kNumRegs) {
-    out.op = Op::kPush;
-    out.ra = op0 & 0x07;
-    out.length = 1;
-    return true;
-  }
-  if (op0 >= opc::kPopBase && op0 < opc::kPopBase + kNumRegs) {
-    out.op = Op::kPop;
-    out.ra = op0 & 0x07;
-    out.length = 1;
-    return true;
-  }
-  if (op0 >= opc::kJcc8Base && op0 < opc::kJcc8Base + 8) {
-    if (n < 2) return false;
-    out.op = Op::kJcc;
-    out.cond = static_cast<Cond>(op0 & 0x07);
-    out.width = BranchWidth::kRel8;
-    out.imm = static_cast<std::int8_t>(b[1]);
-    out.length = kJcc8Len;
-    return true;
-  }
-  if (op0 >= opc::kJcc32Base && op0 < opc::kJcc32Base + 8) {
-    if (n < 5) return false;
-    out.op = Op::kJcc;
-    out.cond = static_cast<Cond>(op0 & 0x07);
-    out.width = BranchWidth::kRel32;
-    out.imm = get_i32(bytes, 1);
-    out.length = kJcc32Len;
-    return true;
-  }
-
   return false;
 }
 
+Result<Insn> decode(ByteView bytes) {
+  Insn in;
+  if (decode_at(bytes, in)) return in;
+  // Name the cause; decode_at rejects only these.
+  if (bytes.empty()) return Error::decode("empty byte range");
+  const std::uint8_t idx = kOpcodeSpec[bytes[0]];
+  if (idx == kNoSpec) return Error::decode("invalid opcode " + hex_addr(bytes[0]));
+  const Spec& s = kSpecs[idx];
+  const std::string m(s.mnemonic);
+  if (bytes.size() < s.length)
+    return Error::decode("truncated " + m + " operand (" + std::to_string(bytes.size()) +
+                         " of " + std::to_string(s.length) + " bytes)");
+  if (s.form == Form::kSys) return Error::decode("bad syscall suffix " + hex_addr(bytes[1]));
+  return Error::decode(m + " register operand out of range");
+}
+
 int cost_of(Op op) {
-  switch (op) {
-    case Op::kLoad: case Op::kStore: case Op::kLoad8: case Op::kStore8:
-    case Op::kLoadPc: case Op::kPush: case Op::kPop: case Op::kPushI:
-      return 3;
-    case Op::kCall: case Op::kRet: case Op::kCallR: case Op::kJmpR:
-    case Op::kJmpT:
-      return 4;
-    case Op::kJmp: case Op::kJcc:
-      return 2;
-    case Op::kSyscall:
-      return 20;
-    case Op::kMul:
-      return 3;
-    case Op::kDiv: case Op::kMod:
-      return 10;
-    default:
-      return 1;
-  }
+  Insn in;
+  in.op = op;
+  const Spec* s = spec_of(in);
+  return s ? s->cost : 1;
 }
 
 }  // namespace zipr::isa

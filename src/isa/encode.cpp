@@ -1,224 +1,113 @@
-#include "isa/insn.h"
+#include <cstring>
+
+#include "isa/table.h"
 
 namespace zipr::isa {
 
 namespace {
 
 bool fits_i8(std::int64_t v) { return v >= kRel8Min && v <= kRel8Max; }
-bool fits_i32(std::int64_t v) {
-  return v >= INT32_MIN && v <= INT32_MAX;
-}
+bool fits_i32(std::int64_t v) { return v >= INT32_MIN && v <= INT32_MAX; }
 bool fits_u32(std::int64_t v) { return v >= 0 && v <= UINT32_MAX; }
+bool reg_ok(std::uint8_t r) { return r < kNumRegs; }
 
 std::uint8_t pack_rr(std::uint8_t a, std::uint8_t b) {
   return static_cast<std::uint8_t>((a << 4) | (b & 0x0f));
 }
 
-Status check_reg(std::uint8_t r) {
-  if (r >= kNumRegs) return Error::invalid_argument("register out of range");
-  return Status::success();
+template <typename T>
+void store_le(Byte* p, T v) {
+  std::memcpy(p, &v, sizeof v);  // VLX is little-endian
 }
 
-// Bounds-checked little-endian cursor over a caller-supplied span. The
-// allocation-free core of both encode() overloads: all wire bytes flow
-// through here, never through a heap-backed Bytes.
-class SpanWriter {
- public:
-  explicit SpanWriter(std::span<Byte> out)
-      : p_(out.data()), begin_(out.data()), end_(out.data() + out.size()) {}
-
-  bool overflowed() const { return overflowed_; }
-  std::size_t written() const { return static_cast<std::size_t>(p_ - begin_); }
-
-  void u8(std::uint8_t v) {
-    if (end_ - p_ < 1) { overflowed_ = true; return; }
-    *p_++ = v;
-  }
-  void i8(std::int8_t v) { u8(static_cast<std::uint8_t>(v)); }
-  void u32(std::uint32_t v) { put_le(&v, 4); }
-  void i32(std::int32_t v) { put_le(&v, 4); }
-  void u64(std::uint64_t v) { put_le(&v, 8); }
-
- private:
-  void put_le(const void* v, std::ptrdiff_t n) {
-    if (end_ - p_ < n) { overflowed_ = true; return; }
-    std::memcpy(p_, v, static_cast<std::size_t>(n));  // VLX is little-endian
-    p_ += n;
-  }
-
-  Byte* p_;
-  Byte* begin_;
-  Byte* end_;
-  bool overflowed_ = false;
-};
-
-Status encode_impl(const Insn& insn, SpanWriter& out) {
-  auto rr_form = [&](std::uint8_t opbyte) -> Status {
-    ZIPR_TRY(check_reg(insn.ra));
-    ZIPR_TRY(check_reg(insn.rb));
-    out.u8(opbyte);
-    out.u8(pack_rr(insn.ra, insn.rb));
-    return Status::success();
-  };
-  auto ri_form = [&](std::uint8_t opbyte) -> Status {
-    ZIPR_TRY(check_reg(insn.ra));
-    if (!fits_i32(insn.imm)) return Error::invalid_argument("imm32 out of range");
-    out.u8(opbyte);
-    out.u8(insn.ra);
-    out.i32(static_cast<std::int32_t>(insn.imm));
-    return Status::success();
-  };
-  auto mem_form = [&](std::uint8_t opbyte) -> Status {
-    ZIPR_TRY(check_reg(insn.ra));
-    ZIPR_TRY(check_reg(insn.rb));
-    if (!fits_i32(insn.imm)) return Error::invalid_argument("disp32 out of range");
-    out.u8(opbyte);
-    out.u8(pack_rr(insn.ra, insn.rb));
-    out.i32(static_cast<std::int32_t>(insn.imm));
-    return Status::success();
-  };
-
-  switch (insn.op) {
-    case Op::kNop:
-      out.u8(opc::kNop);
-      return Status::success();
-    case Op::kHlt:
-      out.u8(opc::kHlt);
-      return Status::success();
-    case Op::kRet:
-      out.u8(opc::kRet);
-      return Status::success();
-
-    case Op::kJmp:
-      if (insn.width == BranchWidth::kRel8) {
-        if (!fits_i8(insn.imm)) return Error::invalid_argument("jmp rel8 out of range");
-        out.u8(opc::kJmp8);
-        out.i8(static_cast<std::int8_t>(insn.imm));
-      } else {
-        if (!fits_i32(insn.imm)) return Error::invalid_argument("jmp rel32 out of range");
-        out.u8(opc::kJmp32);
-        out.i32(static_cast<std::int32_t>(insn.imm));
-      }
-      return Status::success();
-
-    case Op::kJcc: {
-      auto cc = static_cast<std::uint8_t>(insn.cond);
-      if (insn.width == BranchWidth::kRel8) {
-        if (!fits_i8(insn.imm)) return Error::invalid_argument("jcc rel8 out of range");
-        out.u8(static_cast<std::uint8_t>(opc::kJcc8Base | cc));
-        out.i8(static_cast<std::int8_t>(insn.imm));
-      } else {
-        if (!fits_i32(insn.imm)) return Error::invalid_argument("jcc rel32 out of range");
-        out.u8(static_cast<std::uint8_t>(opc::kJcc32Base | cc));
-        out.i32(static_cast<std::int32_t>(insn.imm));
-      }
-      return Status::success();
-    }
-
-    case Op::kCall:
-      if (!fits_i32(insn.imm)) return Error::invalid_argument("call rel32 out of range");
-      out.u8(opc::kCall);
-      out.i32(static_cast<std::int32_t>(insn.imm));
-      return Status::success();
-
-    case Op::kCallR:
-      ZIPR_TRY(check_reg(insn.ra));
-      out.u8(opc::kCallR);
-      out.u8(insn.ra);
-      return Status::success();
-    case Op::kJmpR:
-      ZIPR_TRY(check_reg(insn.ra));
-      out.u8(opc::kJmpR);
-      out.u8(insn.ra);
-      return Status::success();
-    case Op::kJmpT:
-      ZIPR_TRY(check_reg(insn.ra));
-      if (!fits_u32(insn.imm)) return Error::invalid_argument("jmpt table out of range");
-      out.u8(opc::kJmpT);
-      out.u8(insn.ra);
-      out.u32(static_cast<std::uint32_t>(insn.imm));
-      return Status::success();
-
-    case Op::kSyscall:
-      out.u8(opc::kSysPrefix);
-      out.u8(opc::kSysSuffix);
-      return Status::success();
-
-    case Op::kPush:
-      ZIPR_TRY(check_reg(insn.ra));
-      out.u8(static_cast<std::uint8_t>(opc::kPushBase | insn.ra));
-      return Status::success();
-    case Op::kPop:
-      ZIPR_TRY(check_reg(insn.ra));
-      out.u8(static_cast<std::uint8_t>(opc::kPopBase | insn.ra));
-      return Status::success();
-    case Op::kPushI:
-      if (!fits_u32(insn.imm)) return Error::invalid_argument("push imm32 out of range");
-      out.u8(opc::kPushI);
-      out.u32(static_cast<std::uint32_t>(insn.imm));
-      return Status::success();
-
-    case Op::kMovI64:
-      ZIPR_TRY(check_reg(insn.ra));
-      out.u8(opc::kMovI64);
-      out.u8(insn.ra);
-      out.u64(static_cast<std::uint64_t>(insn.imm));
-      return Status::success();
-    case Op::kMovI:
-      return ri_form(opc::kMovI);
-    case Op::kMov:
-      return rr_form(opc::kMov);
-    case Op::kLoad:
-      return mem_form(opc::kLoad);
-    case Op::kStore:
-      return mem_form(opc::kStore);
-    case Op::kLoad8:
-      return mem_form(opc::kLoad8);
-    case Op::kStore8:
-      return mem_form(opc::kStore8);
-    case Op::kLoadPc:
-      return ri_form(opc::kLoadPc);
-    case Op::kLea:
-      return ri_form(opc::kLea);
-
-    case Op::kAdd: return rr_form(opc::kAdd);
-    case Op::kSub: return rr_form(opc::kSub);
-    case Op::kAnd: return rr_form(opc::kAnd);
-    case Op::kOr: return rr_form(opc::kOr);
-    case Op::kXor: return rr_form(opc::kXor);
-    case Op::kMul: return rr_form(opc::kMul);
-    case Op::kDiv: return rr_form(opc::kDiv);
-    case Op::kMod: return rr_form(opc::kMod);
-    case Op::kShl: return rr_form(opc::kShl);
-    case Op::kShr: return rr_form(opc::kShr);
-    case Op::kSar: return rr_form(opc::kSar);
-    case Op::kCmp: return rr_form(opc::kCmp);
-    case Op::kTest: return rr_form(opc::kTest);
-
-    case Op::kAddI: return ri_form(opc::kAddI);
-    case Op::kSubI: return ri_form(opc::kSubI);
-    case Op::kAndI: return ri_form(opc::kAndI);
-    case Op::kOrI: return ri_form(opc::kOrI);
-    case Op::kXorI: return ri_form(opc::kXorI);
-    case Op::kShlI: return ri_form(opc::kShlI);
-    case Op::kShrI: return ri_form(opc::kShrI);
-    case Op::kCmpI: return ri_form(opc::kCmpI);
-
-    case Op::kInvalid:
+// Whether `in`'s operands fit the form of its row `s`: registers, then immediate.
+Status check_operands(const Insn& in, const Spec& s) {
+  bool regs = true, imm = true;
+  switch (s.form) {
+    case Form::kNone: case Form::kSys:
+      break;
+    case Form::kRegInOp: case Form::kReg: case Form::kRegImm64:
+      regs = reg_ok(in.ra);
+      break;
+    case Form::kRegReg:
+      regs = reg_ok(in.ra) && reg_ok(in.rb);
+      break;
+    case Form::kRel8:
+      imm = fits_i8(in.imm);
+      break;
+    case Form::kRel32:
+      imm = fits_i32(in.imm);
+      break;
+    case Form::kImm32:
+      imm = fits_u32(in.imm);
+      break;
+    case Form::kRegImm32: case Form::kPcRel:
+      regs = reg_ok(in.ra);
+      imm = fits_i32(in.imm);
+      break;
+    case Form::kRegAbs32:
+      regs = reg_ok(in.ra);
+      imm = fits_u32(in.imm);
+      break;
+    case Form::kLoad: case Form::kStore:
+      regs = reg_ok(in.ra) && reg_ok(in.rb);
+      imm = fits_i32(in.imm);
       break;
   }
-  return Error::invalid_argument("cannot encode invalid instruction");
+  if (!regs) return Error::invalid_argument(std::string(s.mnemonic) + ": register out of range");
+  if (!imm)
+    return Error::invalid_argument(std::string(s.mnemonic) + ": immediate " +
+                                   std::to_string(in.imm) + " out of range");
+  return Status::success();
 }
 
 }  // namespace
 
 Result<std::size_t> encode_into(const Insn& insn, std::span<Byte> out) {
-  SpanWriter w(out);
-  ZIPR_TRY(encode_impl(insn, w));
-  if (w.overflowed())
+  const Spec* s = spec_of(insn);
+  if (!s) return Error::invalid_argument("cannot encode invalid instruction");
+  ZIPR_TRY(check_operands(insn, *s));
+  if (out.size() < s->length)
     return Error::invalid_argument("encode buffer too small (" + std::to_string(out.size()) +
                                    " bytes) for instruction");
-  return w.written();
+  Byte* p = out.data();
+  p[0] = s->opcode;
+  const auto imm32 = static_cast<std::uint32_t>(insn.imm);
+  switch (s->form) {
+    case Form::kNone:
+      break;
+    case Form::kSys:
+      p[1] = opc::kSysSuffix;
+      break;
+    case Form::kRegInOp:
+      p[0] = static_cast<Byte>(s->opcode | insn.ra);
+      break;
+    case Form::kReg:
+      p[1] = insn.ra;
+      break;
+    case Form::kRegReg:
+      p[1] = pack_rr(insn.ra, insn.rb);
+      break;
+    case Form::kRel8:
+      p[1] = static_cast<Byte>(insn.imm);
+      break;
+    case Form::kRel32: case Form::kImm32:
+      store_le(p + 1, imm32);
+      break;
+    case Form::kRegImm32: case Form::kRegAbs32: case Form::kPcRel:
+      p[1] = insn.ra;
+      store_le(p + 2, imm32);
+      break;
+    case Form::kRegImm64:
+      p[1] = insn.ra;
+      store_le(p + 2, static_cast<std::uint64_t>(insn.imm));
+      break;
+    case Form::kLoad: case Form::kStore:
+      p[1] = pack_rr(insn.ra, insn.rb);
+      store_le(p + 2, imm32);
+      break;
+  }
+  return static_cast<std::size_t>(s->length);
 }
 
 Status encode(const Insn& insn, Bytes& out) {
@@ -235,87 +124,31 @@ Result<Bytes> encode(const Insn& insn) {
 }
 
 int encoded_length(const Insn& insn) {
-  switch (insn.op) {
-    case Op::kNop: case Op::kHlt: case Op::kRet: case Op::kPush: case Op::kPop:
-      return 1;
-    case Op::kJmp:
-      return insn.width == BranchWidth::kRel8 ? kJmp8Len : kJmp32Len;
-    case Op::kJcc:
-      return insn.width == BranchWidth::kRel8 ? kJcc8Len : kJcc32Len;
-    case Op::kCall: case Op::kPushI:
-      return 5;
-    case Op::kCallR: case Op::kJmpR: case Op::kSyscall: case Op::kMov:
-    case Op::kAdd: case Op::kSub: case Op::kAnd: case Op::kOr: case Op::kXor:
-    case Op::kMul: case Op::kDiv: case Op::kMod: case Op::kShl: case Op::kShr:
-    case Op::kSar: case Op::kCmp: case Op::kTest:
-      return 2;
-    case Op::kJmpT: case Op::kMovI: case Op::kLoadPc: case Op::kLea:
-    case Op::kAddI: case Op::kSubI: case Op::kAndI: case Op::kOrI:
-    case Op::kXorI: case Op::kShlI: case Op::kShrI: case Op::kCmpI:
-    case Op::kLoad: case Op::kStore: case Op::kLoad8: case Op::kStore8:
-      return 6;
-    case Op::kMovI64:
-      return 10;
-    case Op::kInvalid:
-      return 0;
-  }
-  return 0;
+  const Spec* s = spec_of(insn);
+  return s ? s->length : 0;
 }
 
-Insn make_jmp(std::int64_t rel, BranchWidth w) {
-  Insn i;
-  i.op = Op::kJmp;
-  i.width = w;
-  i.imm = rel;
-  i.length = static_cast<std::uint8_t>(w == BranchWidth::kRel8 ? kJmp8Len : kJmp32Len);
-  return i;
-}
+namespace {
 
-Insn make_jcc(Cond c, std::int64_t rel, BranchWidth w) {
+Insn make(Op op, std::int64_t imm = 0, BranchWidth w = BranchWidth::kRel32,
+          Cond c = Cond::kEq) {
   Insn i;
-  i.op = Op::kJcc;
-  i.cond = c;
-  i.width = w;
-  i.imm = rel;
-  i.length = static_cast<std::uint8_t>(w == BranchWidth::kRel8 ? kJcc8Len : kJcc32Len);
-  return i;
-}
-
-Insn make_call(std::int64_t rel) {
-  Insn i;
-  i.op = Op::kCall;
-  i.imm = rel;
-  i.length = kCallLen;
-  return i;
-}
-
-Insn make_nop() {
-  Insn i;
-  i.op = Op::kNop;
-  i.length = 1;
-  return i;
-}
-
-Insn make_push_imm(std::uint32_t imm) {
-  Insn i;
-  i.op = Op::kPushI;
+  i.op = op;
   i.imm = imm;
-  i.length = 5;
+  i.width = w;
+  i.cond = c;
+  i.length = static_cast<std::uint8_t>(encoded_length(i));
   return i;
 }
 
-Insn make_ret() {
-  Insn i;
-  i.op = Op::kRet;
-  i.length = 1;
-  return i;
-}
+}  // namespace
 
-Insn make_hlt() {
-  Insn i;
-  i.op = Op::kHlt;
-  i.length = 1;
-  return i;
-}
+Insn make_jmp(std::int64_t rel, BranchWidth w) { return make(Op::kJmp, rel, w); }
+Insn make_jcc(Cond c, std::int64_t rel, BranchWidth w) { return make(Op::kJcc, rel, w, c); }
+Insn make_call(std::int64_t rel) { return make(Op::kCall, rel); }
+Insn make_nop() { return make(Op::kNop); }
+Insn make_push_imm(std::uint32_t imm) { return make(Op::kPushI, imm); }
+Insn make_ret() { return make(Op::kRet); }
+Insn make_hlt() { return make(Op::kHlt); }
 
 }  // namespace zipr::isa

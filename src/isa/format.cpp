@@ -1,24 +1,10 @@
 #include <cstdio>
 
-#include "isa/insn.h"
+#include "isa/table.h"
 
 namespace zipr::isa {
 
 namespace {
-
-const char* cond_name(Cond c) {
-  switch (c) {
-    case Cond::kEq: return "eq";
-    case Cond::kNe: return "ne";
-    case Cond::kLt: return "lt";
-    case Cond::kLe: return "le";
-    case Cond::kGt: return "gt";
-    case Cond::kGe: return "ge";
-    case Cond::kB: return "b";
-    case Cond::kAe: return "ae";
-  }
-  return "?";
-}
 
 std::string reg(std::uint8_t r) {
   if (r == kSpReg) return "sp";
@@ -38,64 +24,30 @@ std::string rel_str(std::int64_t v) {
   return (v >= 0 ? "+" : "") + imm_str(v);
 }
 
-const char* alu_name(Op op) {
-  switch (op) {
-    case Op::kAdd: case Op::kAddI: return "add";
-    case Op::kSub: case Op::kSubI: return "sub";
-    case Op::kAnd: case Op::kAndI: return "and";
-    case Op::kOr: case Op::kOrI: return "or";
-    case Op::kXor: case Op::kXorI: return "xor";
-    case Op::kMul: return "mul";
-    case Op::kDiv: return "div";
-    case Op::kMod: return "mod";
-    case Op::kShl: case Op::kShlI: return "shl";
-    case Op::kShr: case Op::kShrI: return "shr";
-    case Op::kSar: return "sar";
-    case Op::kCmp: case Op::kCmpI: return "cmp";
-    case Op::kTest: return "test";
-    default: return "?";
-  }
-}
-
-std::string branch_text(const Insn& in, std::string target) {
-  switch (in.op) {
-    case Op::kJmp: return "jmp " + target;
-    case Op::kJcc: return std::string("j") + cond_name(in.cond) + " " + target;
-    case Op::kCall: return "call " + target;
-    default: return "?";
-  }
-}
-
+// `target` is the text for a PC-relative branch target.
 std::string body(const Insn& in, const std::string& target) {
-  switch (in.op) {
-    case Op::kNop: return "nop";
-    case Op::kHlt: return "hlt";
-    case Op::kRet: return "ret";
-    case Op::kSyscall: return "syscall";
-    case Op::kJmp: case Op::kJcc: case Op::kCall: return branch_text(in, target);
-    case Op::kCallR: return "callr " + reg(in.ra);
-    case Op::kJmpR: return "jmpr " + reg(in.ra);
-    case Op::kJmpT: return "jmpt " + reg(in.ra) + ", " + imm_str(in.imm);
-    case Op::kPush: return "push " + reg(in.ra);
-    case Op::kPop: return "pop " + reg(in.ra);
-    case Op::kPushI: return "pushi " + imm_str(in.imm);
-    case Op::kMovI64: return "movi64 " + reg(in.ra) + ", " + imm_str(in.imm);
-    case Op::kMovI: return "movi " + reg(in.ra) + ", " + imm_str(in.imm);
-    case Op::kMov: return "mov " + reg(in.ra) + ", " + reg(in.rb);
-    case Op::kLoad: return "load " + reg(in.ra) + ", [" + reg(in.rb) + rel_str(in.imm) + "]";
-    case Op::kStore: return "store [" + reg(in.ra) + rel_str(in.imm) + "], " + reg(in.rb);
-    case Op::kLoad8: return "load8 " + reg(in.ra) + ", [" + reg(in.rb) + rel_str(in.imm) + "]";
-    case Op::kStore8: return "store8 [" + reg(in.ra) + rel_str(in.imm) + "], " + reg(in.rb);
-    case Op::kLea: return "lea " + reg(in.ra) + ", [pc" + rel_str(in.imm) + "]";
-    case Op::kLoadPc: return "loadpc " + reg(in.ra) + ", [pc" + rel_str(in.imm) + "]";
-    case Op::kAdd: case Op::kSub: case Op::kAnd: case Op::kOr: case Op::kXor:
-    case Op::kMul: case Op::kDiv: case Op::kMod: case Op::kShl: case Op::kShr:
-    case Op::kSar: case Op::kCmp: case Op::kTest:
-      return std::string(alu_name(in.op)) + " " + reg(in.ra) + ", " + reg(in.rb);
-    case Op::kAddI: case Op::kSubI: case Op::kAndI: case Op::kOrI:
-    case Op::kXorI: case Op::kShlI: case Op::kShrI: case Op::kCmpI:
-      return std::string(alu_name(in.op)) + "i " + reg(in.ra) + ", " + imm_str(in.imm);
-    case Op::kInvalid: return "(invalid)";
+  const Spec* s = spec_of(in);
+  if (!s) return "(invalid)";
+  const std::string m(s->mnemonic);
+  switch (s->form) {
+    case Form::kNone: case Form::kSys:
+      return m;
+    case Form::kRegInOp: case Form::kReg:
+      return m + " " + reg(in.ra);
+    case Form::kRegReg:
+      return m + " " + reg(in.ra) + ", " + reg(in.rb);
+    case Form::kRel8: case Form::kRel32:
+      return m + " " + target;
+    case Form::kImm32:
+      return m + " " + imm_str(in.imm);
+    case Form::kRegImm32: case Form::kRegAbs32: case Form::kRegImm64:
+      return m + " " + reg(in.ra) + ", " + imm_str(in.imm);
+    case Form::kPcRel:
+      return m + " " + reg(in.ra) + ", [pc" + rel_str(in.imm) + "]";
+    case Form::kLoad:
+      return m + " " + reg(in.ra) + ", [" + reg(in.rb) + rel_str(in.imm) + "]";
+    case Form::kStore:
+      return m + " [" + reg(in.ra) + rel_str(in.imm) + "], " + reg(in.rb);
   }
   return "?";
 }

@@ -84,19 +84,20 @@ struct Insn {
 };
 
 /// Decode one instruction from `bytes` (which starts at the instruction's
-/// first byte). Fails with Error::decode on an invalid opcode or truncated
-/// operands. Decoding never consults the address: VLX, like x86, has a
-/// position-independent wire format (targets are computed from addr+imm).
-Result<Insn> decode(ByteView bytes);
-
-/// Allocation-free decode of one instruction from `bytes` into `out`.
-/// Returns false (leaving `out` unspecified) on an invalid opcode or
-/// truncated operands -- exactly the inputs decode() rejects, without
-/// composing an error message. This is the hot-path entry used by the
-/// VM's predecoded-page builder and interpreter loop, where a failed
-/// decode is an expected outcome (data bytes inside an executable page),
-/// not a diagnostic event.
+/// first byte) into `out`. Returns false (leaving `out` unspecified) on an
+/// empty input, an invalid opcode, truncated operands, a register out of
+/// range or a bad syscall suffix. Allocation-free: one lookup in the ISA
+/// table's opcode map, then one switch on the row's operand form. Decoding
+/// never consults the address: VLX, like x86, has a position-independent
+/// wire format (targets are computed from addr+imm). This is the entry the
+/// disassembler and the VM's predecoded pages use, where a failed decode is
+/// an expected outcome (data bytes inside an executable page).
 bool decode_at(ByteView bytes, Insn& out);
+
+/// decode_at() with a diagnostic: on failure, an Error::decode naming the
+/// cause (empty input, invalid opcode, truncated operand of a named
+/// mnemonic, register out of range, bad syscall suffix), composed only then.
+Result<Insn> decode(ByteView bytes);
 
 /// Encode `insn` directly into `out`, returning the number of bytes written.
 /// Allocation-free: this is the hot-path entry used by the reassembler to
@@ -112,7 +113,8 @@ Status encode(const Insn& insn, Bytes& out);
 /// Convenience: encode to a fresh byte vector.
 Result<Bytes> encode(const Insn& insn);
 
-/// Encoded length the instruction will have. Mirrors encode().
+/// Encoded length the instruction will have (its ISA table row's length);
+/// 0 for Op::kInvalid.
 int encoded_length(const Insn& insn);
 
 /// Disassembly-style text ("jmp +0x12", "add r1, r2"), address-independent.

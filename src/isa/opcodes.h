@@ -140,13 +140,47 @@ inline constexpr std::uint8_t kJmpR = 0xFE;
 inline constexpr std::uint8_t kJmpT = 0xFF;
 }  // namespace opc
 
-/// Encoded lengths of fixed-size instruction forms.
-inline constexpr int kJmp8Len = 2;
-inline constexpr int kJmp32Len = 5;
-inline constexpr int kJcc8Len = 2;
-inline constexpr int kJcc32Len = 5;
-inline constexpr int kCallLen = 5;
-inline constexpr int kMaxInsnLen = 10;  ///< MOVI64
+/// Operand form: the wire layout that follows the opcode byte. The ISA
+/// table (isa/table.h) gives every opcode one form; the decoder, encoder,
+/// formatter and assembler switch on the form, never on an opcode or Op.
+enum class Form : std::uint8_t {
+  kNone,      ///< opcode only                           nop, ret, hlt
+  kSys,       ///< opcode + fixed suffix byte            syscall (0x0F 0x05)
+  kRegInOp,   ///< register in the opcode's low 3 bits   push r, pop r
+  kReg,       ///< opcode + register byte                callr r, jmpr r
+  kRegReg,    ///< opcode + packed (ra<<4 | rb)          add ra, rb
+  kRel8,      ///< opcode + rel8                         jmp8, j<cc>8
+  kRel32,     ///< opcode + rel32                        jmp, j<cc>, call
+  kImm32,     ///< opcode + zero-extended imm32          pushi
+  kRegImm32,  ///< opcode + reg + sign-extended imm32    movi, addi, ...
+  kRegAbs32,  ///< opcode + reg + zero-extended imm32    jmpt r, table
+  kRegImm64,  ///< opcode + reg + imm64                  movi64
+  kPcRel,     ///< opcode + reg + disp32 from insn end   lea, loadpc
+  kLoad,      ///< opcode + packed regs + disp32         load ra, [rb+d]
+  kStore,     ///< opcode + packed regs + disp32         store [ra+d], rb
+};
+
+/// Encoded length of every instruction of form `f`.
+constexpr int form_length(Form f) {
+  switch (f) {
+    case Form::kNone: case Form::kRegInOp:
+      return 1;
+    case Form::kSys: case Form::kReg: case Form::kRegReg: case Form::kRel8:
+      return 2;
+    case Form::kRel32: case Form::kImm32:
+      return 5;
+    case Form::kRegImm32: case Form::kRegAbs32: case Form::kPcRel: case Form::kLoad:
+    case Form::kStore:
+      return 6;
+    case Form::kRegImm64:
+      return 10;
+  }
+  return 0;
+}
+
+inline constexpr int kJmp8Len = form_length(Form::kRel8);
+inline constexpr int kJmp32Len = form_length(Form::kRel32);
+inline constexpr int kMaxInsnLen = form_length(Form::kRegImm64);
 
 /// Reach of a rel8 displacement measured from end-of-instruction.
 inline constexpr std::int64_t kRel8Min = -128;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cstring>
 #include <set>
 
 #include "support/log.h"
@@ -18,7 +17,7 @@ namespace {
 
 constexpr std::uint64_t kShortJump = isa::kJmp8Len;   // 2
 constexpr std::uint64_t kLongJump = isa::kJmp32Len;   // 5
-constexpr Byte kFillByte = 0xF4;  // hlt: stray control flow traps cleanly
+constexpr Byte kFillByte = isa::opc::kHlt;  // stray control flow traps cleanly
 
 // Reach of a 2-byte jump placed at `site`: its target t satisfies
 // t - (site + 2) in [-128, 127].
@@ -76,9 +75,7 @@ Reassembler::Reassembler(analysis::IrProgram& prog, const ReassemblyOptions& opt
       space_(Interval{prog.original.text().vaddr,
                       prog.original.text().vaddr + prog.original.text().bytes.size()}),
       arena_(select_arena(opts.arena)),
-      dollops_(prog.db, arena_),
-      emit_log_(arena_),
-      patch_log_(arena_) {
+      dollops_(prog.db, arena_) {
   std::set<std::uint64_t> pinned_pages;
   for (const auto& [addr, id] : prog_.db.pins())
     pinned_pages.insert(addr & ~(zelf::layout::kPageSize - 1));
@@ -139,9 +136,13 @@ Status Reassembler::write_bytes(std::uint64_t addr, ByteView bytes) {
 }
 
 Status Reassembler::patch_rel32(std::uint64_t site, std::uint64_t target_addr) {
-  if (site < space_.main_span().begin)
+  std::span<Byte> out =
+      site < space_.main_span().begin ? std::span<Byte>{} : out_span(site + 1, 4);
+  if (out.size() < 4)
     return Error::internal("rel32 patch at " + hex_addr(site) + " outside the output span");
-  patch_log_.push_back({site, target_addr});
+  std::int64_t disp =
+      static_cast<std::int64_t>(target_addr) - static_cast<std::int64_t>(site + kLongJump);
+  patch_i32(out, 0, static_cast<std::int32_t>(disp));
   return Status::success();
 }
 
@@ -163,27 +164,11 @@ Result<std::size_t> Reassembler::emit_insn_at(const isa::Insn& in, std::uint64_t
   int len = isa::encoded_length(in);
   if (len <= 0)
     return Error::invalid_argument("cannot encode invalid instruction at " + hex_addr(addr));
-  emit_log_.push_back({in, addr, static_cast<std::uint8_t>(len)});
-  return static_cast<std::size_t>(len);
-}
-
-Status Reassembler::apply_log() {
-  for (const EmitRec& r : emit_log_) {
-    ZIPR_ASSIGN_OR_RETURN(std::size_t n, isa::encode_into(r.in, out_span(r.addr, r.len)));
-    if (n != r.len)
-      return Error::internal("encoded length drifted from layout at " + hex_addr(r.addr));
-  }
-  // Patches overwrite placeholder displacements from the emit pass above.
-  for (const PatchRec& r : patch_log_) {
-    std::int64_t disp =
-        static_cast<std::int64_t>(r.target) - static_cast<std::int64_t>(r.site + kLongJump);
-    std::span<Byte> out = out_span(r.site + 1, 4);
-    if (out.size() < 4)
-      return Error::internal("rel32 patch at " + hex_addr(r.site) + " outside the output span");
-    std::uint32_t le = static_cast<std::uint32_t>(static_cast<std::int32_t>(disp));
-    std::memcpy(out.data(), &le, 4);  // VLX is little-endian
-  }
-  return Status::success();
+  ZIPR_ASSIGN_OR_RETURN(std::size_t n,
+                        isa::encode_into(in, out_span(addr, static_cast<std::size_t>(len))));
+  if (n != static_cast<std::size_t>(len))
+    return Error::internal("encoded length drifted from layout at " + hex_addr(addr));
+  return n;
 }
 
 isa::BranchWidth Reassembler::ref_width(std::uint64_t site, std::uint64_t target, bool can_short,
@@ -254,9 +239,8 @@ Status Reassembler::build_sleds() {
     ZIPR_TRY(space_.reserve(first, footprint_end - first));
 
     // Materialize the sled bytes.
-    Bytes sled;
-    for (std::uint64_t k = 0; k < push_len; ++k) sled.push_back(0x68);
-    for (int k = 0; k < 4; ++k) sled.push_back(0x90);
+    Bytes sled(push_len, isa::opc::kPushI);
+    sled.insert(sled.end(), 4, isa::opc::kNop);
     ZIPR_TRY(write_bytes(first, sled));
 
     // Each 0x68 entry pushes the imm32 formed by the 4 bytes after it.
@@ -265,7 +249,7 @@ Status Reassembler::build_sleds() {
       std::uint32_t value = 0;
       for (int b = 0; b < 4; ++b) {
         std::uint64_t q = p + 1 + static_cast<std::uint64_t>(b);
-        std::uint8_t byte = q <= last ? 0x68 : 0x90;
+        std::uint8_t byte = q <= last ? isa::opc::kPushI : isa::opc::kNop;
         value |= static_cast<std::uint32_t>(byte) << (8 * b);
       }
       entries.emplace_back(p, value);
@@ -802,7 +786,6 @@ Result<zelf::Image> Reassembler::run() {
   ZIPR_TRY(build_sleds());
   ZIPR_TRY(reserve_pin_sites());
   ZIPR_TRY(resolve_all());
-  ZIPR_TRY(apply_log());
 
   stats_.dollop_splits = dollops_.total_splits();
   stats_.overflow_bytes = space_.overflow_used();

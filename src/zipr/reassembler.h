@@ -19,10 +19,9 @@
 //      (Sec. II-C4). Unreferenced code is never placed (dead code drops
 //      out naturally).
 //
-// Layout and byte emission are decoupled: the resolution loop decides every
-// address and instruction width but only appends to an emission log; a
-// final apply phase encodes the log into the output buffers, then
-// overwrites the placeholder displacements with the logged rel32 patches.
+// Emission is direct: each instruction is encoded straight into the output
+// buffer at the address and width layout chose for it, and each resolved
+// reference overwrites its placeholder rel32 displacement at once.
 #pragma once
 
 #include <span>
@@ -126,30 +125,11 @@ class Reassembler {
     std::optional<std::uint64_t> preferred;  ///< placement hint
   };
 
-  /// One deferred instruction emission: layout fixed the address and
-  /// encoding width; the apply phase produces the bytes.
-  struct EmitRec {
-    isa::Insn in;
-    std::uint64_t addr = 0;
-    std::uint8_t len = 0;  ///< encoded length layout budgeted for
-  };
-
-  /// One rel32 displacement patch into a previously logged placeholder
-  /// jump; applied strictly after every EmitRec (it overwrites the
-  /// placeholder's displacement bytes).
-  struct PatchRec {
-    std::uint64_t site = 0;    ///< address of the jump opcode byte
-    std::uint64_t target = 0;  ///< resolved target address
-  };
-
   // -- stage drivers --
   Status place_verbatim_ranges();
   Status build_sleds();
   Status reserve_pin_sites();
   Status resolve_all();
-  /// Encode the emission log into the output buffers, then apply the
-  /// rel32 patches.
-  Status apply_log();
 
   // -- helpers --
   Status resolve_pin(const PinSite& pin);
@@ -158,11 +138,11 @@ class Reassembler {
   Result<std::uint64_t> ensure_placed(irdb::InsnId insn, std::optional<std::uint64_t> preferred);
   Status place_dollop(Dollop* d, std::optional<std::uint64_t> preferred);
   Status emit_dollop_at(Dollop* d, std::uint64_t base, std::uint64_t budget, bool in_overflow);
-  /// Log one IR row for emission at `addr`; returns its encoded length.
+  /// Encode one IR row into the output at `addr`; returns its encoded length.
   Result<std::size_t> emit_row_at(irdb::ConstRowRef row, std::uint64_t addr);
-  /// Log `in` for emission at `addr`; returns its encoded length.
+  /// Encode `in` into the output at `addr`; returns its encoded length.
   Result<std::size_t> emit_insn_at(const isa::Insn& in, std::uint64_t addr);
-  /// Log a rel32 displacement patch for the placeholder jump at `site`.
+  /// Overwrite the rel32 displacement of the placeholder jump at `site`.
   Status patch_rel32(std::uint64_t site, std::uint64_t target_addr);
 
   // -- placement map M, flattened --
@@ -211,7 +191,7 @@ class Reassembler {
   ReassemblyOptions opts_;
   MemorySpace space_;
   std::unique_ptr<PlacementStrategy> strategy_;
-  MonotonicArena* arena_;  ///< per-thread; owns dollops, M, and the logs
+  MonotonicArena* arena_;  ///< per-thread; owns dollops and M
   DollopManager dollops_;
 
   Bytes main_buf_;      ///< [main.begin, main.end)
@@ -227,8 +207,6 @@ class Reassembler {
   std::vector<PinSite> pin_sites_;
   std::vector<std::uint64_t> sled_handled_;  ///< sorted; pins satisfied by a sled
 
-  ArenaVector<EmitRec> emit_log_;
-  ArenaVector<PatchRec> patch_log_;
   RewriteStats stats_;
 };
 

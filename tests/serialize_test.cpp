@@ -144,5 +144,14 @@ INSTANTIATE_TEST_SUITE_P(
         BadDump{"UnknownField", "zipr-irdb 1\ninsn 1 bytes=90 wat=3\n"}),
     [](const ::testing::TestParamInfo<BadDump>& info) { return info.param.name; });
 
+// An undecodable row reports the decoder's cause, not just the line.
+TEST(Serialize, UndecodableBytesNameTheCause) {
+  auto r = deserialize("zipr-irdb 1\ninsn 1 bytes=e90102\n");
+  ASSERT_FALSE(r.ok());
+  EXPECT_NE(r.error().message.find("irdb line 2: undecodable insn bytes: truncated jmp operand"),
+            std::string::npos)
+      << r.error().message;
+}
+
 }  // namespace
 }  // namespace zipr::irdb
