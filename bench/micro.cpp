@@ -23,7 +23,6 @@
 #include "vm/machine.h"
 #include "zelf/image.h"
 #include "zipr/placement.h"
-#include "zipr/workspace.h"
 #include "zipr/zipr.h"
 
 // ---- allocation accounting ----
@@ -465,26 +464,24 @@ BENCHMARK(BM_RewriteCb)->Arg(0)->Arg(40)->Arg(61);
 // arena reuse keep per-instruction cost size-independent) and gates
 // allocs/op and peak_heap_B on the x1 row absolutely.
 //
-// Iterations share one RewriteWorkspace, the way a serve/batch worker
-// recycles its tables across requests: warm iterations re-fill retained
-// buffers instead of re-allocating them, which is what the x1 allocs/op
-// ceiling measures. (BM_RewriteCb above stays workspace-free as the
-// one-shot baseline.)
+// Iterations share the benchmark thread's RewriteWorkspace, the way a
+// serve/batch worker recycles its tables across requests: warm iterations
+// re-fill retained buffers instead of re-allocating them, which is what
+// the x1 allocs/op ceiling measures.
 void BM_RewriteLarge(benchmark::State& state) {
   const auto& cb = shared_large_cb(static_cast<int>(state.range(0)));
   std::size_t text = cb.image.text().bytes.size();
-  RewriteWorkspace workspace;
-  // One untimed rewrite fills the workspace (and the thread arena) to its
+  // One untimed rewrite fills the thread's workspace to this size's
   // steady-state capacity, so AllocScope's baseline includes the retained
   // buffers and the counters below measure WARM iterations: what a serve
   // worker pays per request, not the first-request fill.
   {
-    auto r = rewrite(cb.image, {}, &workspace);
+    auto r = rewrite(cb.image, {});
     benchmark::DoNotOptimize(r->image.entry);
   }
   AllocScope allocs(state);
   for (auto _ : state) {
-    auto r = rewrite(cb.image, {}, &workspace);
+    auto r = rewrite(cb.image, {});
     benchmark::DoNotOptimize(r->image.entry);
   }
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations() * text));

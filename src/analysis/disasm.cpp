@@ -80,11 +80,9 @@ void sweep_run(const zelf::Segment& text, std::vector<AddrInsnMap::value_type>* 
 
 DisasmResult linear_sweep(const zelf::Segment& text,
                           std::vector<AddrInsnMap::value_type>* claims_scratch) {
-  std::vector<AddrInsnMap::value_type> v;
-  if (claims_scratch) {
-    v = std::move(*claims_scratch);
-    v.clear();
-  }
+  std::vector<AddrInsnMap::value_type> local;
+  std::vector<AddrInsnMap::value_type> v = std::move(claims_scratch ? *claims_scratch : local);
+  v.clear();
   v.reserve(text.bytes.size() / 4);
   sweep_run(text, &v);
   DisasmResult out;
@@ -106,7 +104,7 @@ struct Traverser {
   const zelf::Image& image;
   const zelf::Segment& text;
   const TraversalOptions& opts;
-  AnalysisScratch* scratch;  ///< optional recycled buffers (may be null)
+  AnalysisScratch& scratch;  ///< recycled buffers
   TraversalResult result;
   /// FIFO via head index: identical visit order to a deque, but one flat
   /// recyclable buffer instead of per-chunk node churn (a deque allocates
@@ -116,13 +114,14 @@ struct Traverser {
   std::vector<std::uint8_t> state;  ///< per text byte
   std::size_t claim_count = 0;
 
-  Traverser(const zelf::Image& img, const TraversalOptions& o, AnalysisScratch* s)
-      : image(img), text(img.text()), opts(o), scratch(s) {
-    if (scratch) {
-      state = std::move(scratch->byte_state);
-      worklist = std::move(scratch->traversal_work);
-      worklist.clear();
-    }
+  Traverser(const zelf::Image& img, const TraversalOptions& o, AnalysisScratch& s)
+      : image(img),
+        text(img.text()),
+        opts(o),
+        scratch(s),
+        worklist(std::move(s.traversal_work)),
+        state(std::move(s.byte_state)) {
+    worklist.clear();
     state.assign(text.bytes.size(), 0);
   }
 
@@ -275,11 +274,8 @@ struct Traverser {
   /// accumulating claims in discovery order and paying an O(n log n) sort
   /// over a multi-MB table -- the only superlinear term in the pipeline.
   void finalize() {
-    std::vector<AddrInsnMap::value_type> sorted;
-    if (scratch) {
-      sorted = std::move(scratch->code_claims);
-      sorted.clear();
-    }
+    std::vector<AddrInsnMap::value_type> sorted = std::move(scratch.code_claims);
+    sorted.clear();
     sorted.reserve(claim_count);
     isa::Insn insn;
     for (std::size_t off = 0; off < state.size(); ++off) {
@@ -296,7 +292,8 @@ struct Traverser {
 
 TraversalResult recursive_traversal(const zelf::Image& image, const TraversalOptions& opts,
                                     AnalysisScratch* scratch) {
-  Traverser t(image, opts, scratch);
+  AnalysisScratch local;
+  Traverser t(image, opts, scratch ? *scratch : local);
   if (image.entry != 0) {
     t.worklist.push_back(image.entry);
     t.result.function_entries.insert(image.entry);
@@ -316,10 +313,8 @@ TraversalResult recursive_traversal(const zelf::Image& image, const TraversalOpt
   t.finalize();
   // Return the bitmap's and worklist's capacity to the donor for the next
   // rewrite.
-  if (scratch) {
-    scratch->byte_state = std::move(t.state);
-    scratch->traversal_work = std::move(t.worklist);
-  }
+  t.scratch.byte_state = std::move(t.state);
+  t.scratch.traversal_work = std::move(t.worklist);
   return std::move(t.result);
 }
 

@@ -11,6 +11,8 @@ using irdb::kNullInsn;
 Result<IrProgram> build_ir(const zelf::Image& image, const AnalysisOptions& opts,
                            AnalysisScratch* scratch) {
   ZIPR_TRY(image.validate());
+  AnalysisScratch local;
+  if (!scratch) scratch = &local;
   IrProgram prog;
   prog.original = image;
   // The rewriter must not depend on metadata: strip ground-truth symbols
@@ -18,7 +20,7 @@ Result<IrProgram> build_ir(const zelf::Image& image, const AnalysisOptions& opts
   prog.original.symbols.clear();
 
   const zelf::Segment& text = image.text();
-  DisasmResult linear = linear_sweep(text, scratch ? &scratch->sweep_claims : nullptr);
+  DisasmResult linear = linear_sweep(text, &scratch->sweep_claims);
   TraversalResult recursive = recursive_traversal(image, opts.traversal, scratch);
   // The move overload steals recursive.dis (the traversal metadata the
   // later stages read stays valid).
@@ -33,8 +35,7 @@ Result<IrProgram> build_ir(const zelf::Image& image, const AnalysisOptions& opts
   // ---- lift definite code into rows ----
   // row_at: text offset -> row id, a dense array instead of a tree (lookup
   // is one load; the text segment is at most a few MB).
-  std::vector<InsnId> row_at;
-  if (scratch) row_at = std::move(scratch->row_at);
+  std::vector<InsnId> row_at = std::move(scratch->row_at);
   row_at.assign(text.bytes.size(), kNullInsn);
   auto row_at_addr = [&](std::uint64_t addr) -> InsnId {
     return (addr >= text.vaddr && addr - text.vaddr < row_at.size())
@@ -115,19 +116,15 @@ Result<IrProgram> build_ir(const zelf::Image& image, const AnalysisOptions& opts
   // Entry membership as a bitmap over row ids: the BFS below queries it
   // once per visited row, so a node-based set would be a cache miss per
   // instruction on big binaries.
-  std::vector<bool> entry_rows;
-  if (scratch) entry_rows = std::move(scratch->entry_rows);
+  std::vector<bool> entry_rows = std::move(scratch->entry_rows);
   entry_rows.assign(prog.db.insn_count() + 1, false);
   for (std::uint64_t entry : recursive.function_entries) {
     if (InsnId id = row_at_addr(entry); id != kNullInsn) entry_rows[id] = true;
   }
-  std::vector<InsnId> work;  // FIFO via head index (same order as a deque)
-  std::vector<InsnId> members;  // staged, then copied in one exact-size alloc
-  if (scratch) {
-    work = std::move(scratch->work);
-    work.clear();
-    members = std::move(scratch->function_members);
-  }
+  // FIFO via head index (same order as a deque).
+  std::vector<InsnId> work = std::move(scratch->work);
+  // Staged, then copied in one exact-size alloc.
+  std::vector<InsnId> members = std::move(scratch->function_members);
   for (std::uint64_t entry : recursive.function_entries) {
     InsnId entry_id = row_at_addr(entry);
     if (entry_id == kNullInsn) continue;
@@ -169,14 +166,12 @@ Result<IrProgram> build_ir(const zelf::Image& image, const AnalysisOptions& opts
   // are dead at this point: the database copied what it keeps. On the
   // early error returns above the buffers simply die with their locals and
   // the scratch re-reserves next time -- a cost, never a correctness issue.
-  if (scratch) {
-    scratch->sweep_claims = linear.insns.release();
-    scratch->code_claims = agg.code_insns.release();
-    scratch->row_at = std::move(row_at);
-    scratch->entry_rows = std::move(entry_rows);
-    scratch->work = std::move(work);
-    scratch->function_members = std::move(members);
-  }
+  scratch->sweep_claims = linear.insns.release();
+  scratch->code_claims = agg.code_insns.release();
+  scratch->row_at = std::move(row_at);
+  scratch->entry_rows = std::move(entry_rows);
+  scratch->work = std::move(work);
+  scratch->function_members = std::move(members);
   return prog;
 }
 

@@ -11,7 +11,7 @@
 // retained), and moves it back before returning.
 //
 // Not thread-safe; one scratch belongs to at most one rewrite at a time
-// (see zipr::RewriteWorkspace for pooling). Never affects output bytes:
+// (zipr::RewriteWorkspace keeps one per thread). Never affects output bytes:
 // every buffer is fully re-initialized for each use.
 #pragma once
 

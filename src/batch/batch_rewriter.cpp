@@ -6,7 +6,6 @@
 
 #include "batch/worker_pool.h"
 #include "support/log.h"
-#include "zipr/workspace.h"
 
 namespace zipr::batch {
 
@@ -22,8 +21,7 @@ double ms_since(Clock::time_point start) {
 /// (the library itself reports via Result, but e.g. bad_alloc can still
 /// surface) are converted to error slots: one bad input must never take the
 /// batch down.
-BatchItem run_task(const BatchTask& task, const RewriteOptions& defaults,
-                   WorkspacePool& workspaces) {
+BatchItem run_task(const BatchTask& task, const RewriteOptions& defaults) {
   Clock::time_point start = Clock::now();
   auto finish = [&](Result<RewriteResult> r) {
     BatchItem item{task.name, std::move(r), ms_since(start)};
@@ -31,19 +29,18 @@ BatchItem run_task(const BatchTask& task, const RewriteOptions& defaults,
   };
   try {
     const RewriteOptions& opts = task.options ? *task.options : defaults;
-    // Tasks on the same worker recycle a pooled workspace, so a 100-binary
-    // corpus allocates its big transient tables ~jobs times, not 100 times.
-    // Workspaces never affect output bytes, so determinism is untouched.
-    auto lease = workspaces.checkout();
+    // Tasks on the same worker recycle that thread's workspace, so a
+    // 100-binary corpus allocates its big transient tables ~jobs times, not
+    // 100 times. Workspaces never affect output bytes.
     if (const auto* factory = std::get_if<ImageFactory>(&task.input)) {
       if (!*factory)
         return finish(Error::invalid_argument("batch task '" + task.name +
                                               "' has an empty image factory"));
       Result<zelf::Image> img = (*factory)();
       if (!img.ok()) return finish(img.error());
-      return finish(rewrite(*img, opts, lease.get()));
+      return finish(rewrite(*img, opts));
     }
-    return finish(rewrite(std::get<zelf::Image>(task.input), opts, lease.get()));
+    return finish(rewrite(std::get<zelf::Image>(task.input), opts));
   } catch (const std::exception& e) {
     return finish(Error::internal("uncaught exception in batch task '" + task.name +
                                   "': " + e.what()));
@@ -104,10 +101,9 @@ BatchResult BatchRewriter::run(std::vector<BatchTask> tasks) const {
 
   // Workers fill disjoint slots of a pre-sized vector, so the output order
   // is the submission order by construction and no result lock is needed.
-  WorkspacePool workspaces;  // shared by the workers for this batch
   std::vector<std::optional<BatchItem>> slots(tasks.size());
   parallel_for(static_cast<int>(jobs), tasks.size(), [&](std::size_t i) {
-    slots[i] = run_task(tasks[i], options_.rewrite, workspaces);
+    slots[i] = run_task(tasks[i], options_.rewrite);
   });
 
   BatchResult out;

@@ -133,12 +133,10 @@ Result<ServeResponse> ServeEngine::handle(ByteView input, const RewriteOptions& 
   }
 
   // 3. Cold path. Failures return here WITHOUT touching the cache: caching
-  //    an error artifact would poison every retry of this key. The rewrite
-  //    runs through a pooled workspace so repeated cold misses recycle the
-  //    pipeline's transient tables (never the output: workspaces are an
-  //    execution knob, identical bytes either way).
-  auto lease = workspaces_.checkout();
-  auto rewritten = rewrite(*image, options, lease.get());
+  //    an error artifact would poison every retry of this key. rewrite()
+  //    runs through this thread's workspace, so repeated cold misses on a
+  //    worker recycle the pipeline's transient tables (never the output).
+  auto rewritten = rewrite(*image, options);
   if (!rewritten.ok()) return fail(rewritten.error());
 
   Artifact artifact;

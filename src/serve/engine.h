@@ -23,7 +23,6 @@
 #include "batch/worker_pool.h"
 #include "serve/cache.h"
 #include "serve/delta.h"
-#include "zipr/workspace.h"
 #include "zipr/zipr.h"
 
 namespace zipr::serve {
@@ -101,7 +100,7 @@ class ServeEngine {
 
   /// Drop every in-memory cache entry (the persistence file, if any, is
   /// untouched). Benchmarks use this to re-run the cold path on a warm
-  /// process -- with the recycled workspaces still warm.
+  /// process -- with the worker threads' workspaces still warm.
   void clear_cache();
 
   ServeStats stats() const;
@@ -110,10 +109,6 @@ class ServeEngine {
  private:
   ServeOptions options_;
   ArtifactCache cache_;
-  /// Recycled per-worker rewrite workspaces: a cold request checks one
-  /// out for the pipeline call, so steady-state cold rewrites reuse the
-  /// previous request's transient tables instead of re-faulting them.
-  WorkspacePool workspaces_;
   std::atomic<bool> closed_{false};
   std::unique_ptr<batch::WorkerPool> pool_;
 

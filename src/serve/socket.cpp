@@ -1,6 +1,7 @@
 #include "serve/socket.h"
 
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <sys/un.h>
 #include <unistd.h>
 
@@ -50,6 +51,16 @@ Status write_exact(int fd, const void* buf, std::size_t n) {
     p += put;
     n -= static_cast<std::size_t>(put);
   }
+  return {};
+}
+
+/// Apply kConnectionDeadline to reads and writes on `fd`: a stalled peer
+/// then fails read_exact/write_exact with EAGAIN instead of blocking.
+Status set_deadline(int fd) {
+  timeval tv{};
+  tv.tv_sec = kConnectionDeadline.count();
+  for (int opt : {SO_RCVTIMEO, SO_SNDTIMEO})
+    if (::setsockopt(fd, SOL_SOCKET, opt, &tv, sizeof tv) < 0) return sys_error("setsockopt");
   return {};
 }
 
@@ -149,7 +160,8 @@ Status serve_on_socket(ServeEngine& engine, const SocketServerOptions& options) 
       return sys_error("accept");
     }
     FdCloser conn_closer{fd};
-    Status st = serve_connection(engine, fd, options.max_request_bytes);
+    Status st = set_deadline(fd);
+    if (st.ok()) st = serve_connection(engine, fd, options.max_request_bytes);
     if (!st.ok()) {
       ZIPR_WARN << "serve: connection failed: " << st.error().message;
     }

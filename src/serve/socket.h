@@ -16,16 +16,24 @@
 //
 // Malformed frames, oversized lengths, short reads and peers that hang up
 // before the reply produce checked errors on both ends, and the server
-// keeps serving. It does not survive every client: connections are served
-// one at a time on the accept thread with no read deadline, so a client
-// that connects and sends nothing blocks every later one.
+// keeps serving. Connections are served one at a time on the accept
+// thread, so every read and write on an accepted connection is bounded by
+// kConnectionDeadline: a client that connects and sends nothing (or stops
+// reading its reply) costs the clients queued behind it that long, not
+// forever. The bound is per blocked call, not per exchange, and a client
+// that builds its whole frame before writing (submit_over_socket) never
+// comes near it.
 #pragma once
 
+#include <chrono>
 #include <string>
 
 #include "serve/engine.h"
 
 namespace zipr::serve {
+
+/// Longest a server-side read or write on one connection may block.
+inline constexpr std::chrono::seconds kConnectionDeadline{2};
 
 struct SocketServerOptions {
   std::string path;       ///< filesystem path to bind (unlinked first)

@@ -5,6 +5,7 @@
 #include <set>
 
 #include "support/log.h"
+#include "zipr/workspace.h"
 
 namespace zipr::rewriter {
 
@@ -26,55 +27,24 @@ bool rel8_reaches(std::uint64_t site, std::uint64_t target) {
   return disp >= isa::kRel8Min && disp <= isa::kRel8Max;
 }
 
-}  // namespace
-
-namespace {
-
-MonotonicArena& thread_arena() {
-  static thread_local MonotonicArena arena;
-  return arena;
-}
-
-}  // namespace
-
-std::size_t thread_arena_retained_bytes() { return thread_arena().retained_bytes(); }
-
-MonotonicArena* Reassembler::acquire_arena() {
-  // One arena per thread, rewound (chunks retained) for every rewrite.
-  // Two live Reassemblers on one thread would clobber each other's
-  // allocations; the pipeline constructs exactly one per rewrite and each
-  // worker thread runs its rewrites sequentially.
-  //
-  // Retention is bounded by a two-cycle hysteresis: `prev_used` remembers
-  // the demand of the rewrite before last, so the budget only collapses
-  // once TWO consecutive rewrites were small -- a x50 request followed by
-  // x1 traffic releases its ~100s-of-MB high-water mark on the second
-  // small acquire instead of pinning it in the thread_local forever, while
-  // alternating big/small traffic never thrashes.
-  static thread_local std::size_t prev_used = 0;
-  MonotonicArena& arena = thread_arena();
-  std::size_t used = arena.used_bytes();  // demand of the previous rewrite
-  std::size_t budget = 2 * std::max(used, prev_used) + (64 * 1024);
-  if (arena.retained_bytes() > budget)
-    arena.trim(budget);  // also rewinds
-  else
-    arena.reset();
-  prev_used = used;
+// The calling thread's workspace arena, rewound (chunks retained) for this
+// rewrite. Two live Reassemblers on one thread would clobber each other's
+// allocations; the pipeline constructs exactly one per rewrite and a
+// thread runs its rewrites sequentially.
+MonotonicArena* rewound_workspace_arena() {
+  MonotonicArena& arena = this_thread_workspace().arena();
+  arena.reset();
   return &arena;
 }
 
-MonotonicArena* Reassembler::select_arena(MonotonicArena* external) {
-  if (!external) return acquire_arena();
-  external->reset();
-  return external;
-}
+}  // namespace
 
 Reassembler::Reassembler(analysis::IrProgram& prog, const ReassemblyOptions& opts)
     : prog_(prog),
       opts_(opts),
       space_(Interval{prog.original.text().vaddr,
                       prog.original.text().vaddr + prog.original.text().bytes.size()}),
-      arena_(select_arena(opts.arena)),
+      arena_(rewound_workspace_arena()),
       dollops_(prog.db, arena_) {
   std::set<std::uint64_t> pinned_pages;
   for (const auto& [addr, id] : prog_.db.pins())

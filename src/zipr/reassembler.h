@@ -51,10 +51,6 @@ struct ReassemblyOptions {
   /// Cap on how many successor dollops one emission region may absorb;
   /// bounds the main-span space a single placement decision can claim.
   std::size_t max_coalesce_run = 64;
-  /// External rewrite arena (a RewriteWorkspace's, recycled across
-  /// requests). Rewound before use; never affects output bytes. Null uses
-  /// the bounded per-thread arena.
-  MonotonicArena* arena = nullptr;
 };
 
 struct RewriteStats {
@@ -177,21 +173,11 @@ class Reassembler {
   // offset arithmetic would otherwise underflow into a wild OOB write).
   Status write_bytes(std::uint64_t addr, ByteView bytes);
 
-  /// The per-thread rewrite arena, rewound (chunks retained) for this
-  /// rewrite. One Reassembler per thread at a time: a warm batch/serve
-  /// worker pays chunk malloc only on its first rewrite. Retention is
-  /// bounded: an arena holding far more than the last two rewrites needed
-  /// is trimmed here, so one oversized rewrite cannot pin its high-water
-  /// mark in the thread_local forever.
-  static MonotonicArena* acquire_arena();
-  /// `opts.arena` (rewound) when set, else the per-thread arena.
-  static MonotonicArena* select_arena(MonotonicArena* external);
-
   analysis::IrProgram& prog_;
   ReassemblyOptions opts_;
   MemorySpace space_;
   std::unique_ptr<PlacementStrategy> strategy_;
-  MonotonicArena* arena_;  ///< per-thread; owns dollops and M
+  MonotonicArena* arena_;  ///< the thread workspace's; owns dollops and M
   DollopManager dollops_;
 
   Bytes main_buf_;      ///< [main.begin, main.end)
@@ -209,9 +195,5 @@ class Reassembler {
 
   RewriteStats stats_;
 };
-
-/// Capacity currently pinned by the calling thread's rewrite arena
-/// (regression tests for the bounded-retention policy in acquire_arena).
-std::size_t thread_arena_retained_bytes();
 
 }  // namespace zipr::rewriter

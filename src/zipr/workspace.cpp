@@ -15,34 +15,9 @@ void RewriteWorkspace::finish_cycle() {
   analysis_.trim();
 }
 
-WorkspacePool::Lease WorkspacePool::checkout() {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (!idle_.empty()) {
-      auto ws = std::move(idle_.back());
-      idle_.pop_back();
-      return Lease(this, std::move(ws));
-    }
-    ++created_;
-  }
-  // Construct outside the lock: a fresh workspace is cheap but there is no
-  // reason to serialize concurrent cold checkouts on it.
-  return Lease(this, std::make_unique<RewriteWorkspace>());
-}
-
-std::size_t WorkspacePool::created() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return created_;
-}
-
-std::size_t WorkspacePool::idle_count() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return idle_.size();
-}
-
-void WorkspacePool::give_back(std::unique_ptr<RewriteWorkspace> ws) {
-  std::lock_guard<std::mutex> lock(mu_);
-  idle_.push_back(std::move(ws));
+RewriteWorkspace& this_thread_workspace() {
+  static thread_local RewriteWorkspace workspace;
+  return workspace;
 }
 
 }  // namespace zipr

@@ -1,19 +1,19 @@
-// Per-worker recycled state for repeated cold rewrites.
+// Per-thread recycled state for repeated cold rewrites.
 //
 // One cold rewrite of a multi-MB binary allocates (and page-faults) tens
 // of MB of transient tables: the analysis layer's claim vectors and
 // bitmaps (analysis::AnalysisScratch) and the reassembler's bump arena
-// (dollops, the placement map M, the emission/patch logs). All of it dies
-// with the rewrite -- and on a serve/batch worker is immediately rebuilt
-// for the next request. A RewriteWorkspace owns both pieces so successive
-// rewrites through the same workspace run with near-zero allocation cost:
-// pass it to rewrite() and every large transient reuses the previous
-// request's capacity.
+// (dollops and the placement map M). All of it dies with the rewrite --
+// and on a serve/batch worker is immediately rebuilt for the next request.
+// A RewriteWorkspace owns both pieces, and every thread that rewrites owns
+// exactly one (this_thread_workspace()): rewrite() borrows the calling
+// thread's, so successive rewrites on one thread reuse the previous
+// rewrite's capacity. A thread that never rewrites never creates one.
 //
 // Recycling NEVER affects output bytes: each buffer is fully
 // re-initialized per rewrite, and the arena is rewound before use. A
-// workspace serves at most one rewrite at a time (not thread-safe); the
-// WorkspacePool below hands distinct workspaces to concurrent workers.
+// workspace serves one rewrite at a time, which the per-thread ownership
+// guarantees as long as a thread runs its rewrites sequentially.
 //
 // Trim policy: finish_cycle() (called by rewrite() on success) tracks the
 // demand of the last kWindow cycles; when retained capacity exceeds twice
@@ -21,13 +21,11 @@
 // down to that budget. One oversized request therefore stops pinning its
 // high-water mark as soon as the window full of smaller requests ages it
 // out, while steady same-sized traffic never trims (and never reallocates).
+// Whatever is retained is freed when the thread exits.
 #pragma once
 
 #include <algorithm>
 #include <cstddef>
-#include <memory>
-#include <mutex>
-#include <vector>
 
 #include "analysis/scratch.h"
 #include "support/arena.h"
@@ -37,11 +35,11 @@ namespace zipr {
 class RewriteWorkspace {
  public:
   analysis::AnalysisScratch& analysis() { return analysis_; }
-  MonotonicArena* arena() { return &arena_; }
+  MonotonicArena& arena() { return arena_; }
 
   /// Record the finished rewrite's memory demand and release capacity if
   /// the retained high-water mark has outgrown recent traffic. Called by
-  /// rewrite() after a successful pass through this workspace.
+  /// rewrite() after a successful pass.
   void finish_cycle();
 
   /// Capacity currently pinned by this workspace (tests + trim policy).
@@ -61,64 +59,8 @@ class RewriteWorkspace {
   std::size_t cycles_ = 0;
 };
 
-/// Mutex-guarded free list of workspaces shared by a worker pool
-/// (ServeEngine, BatchRewriter). checkout() prefers a warm idle workspace
-/// and creates a fresh one only when all are busy, so the pool's footprint
-/// tracks peak concurrency, not request count.
-class WorkspacePool {
- public:
-  /// RAII checkout: returns the workspace to the pool on destruction.
-  class Lease {
-   public:
-    Lease() = default;
-    Lease(Lease&& other) noexcept
-        : pool_(other.pool_), ws_(std::move(other.ws_)) {
-      other.pool_ = nullptr;
-    }
-    Lease& operator=(Lease&& other) noexcept {
-      if (this != &other) {
-        release();
-        pool_ = other.pool_;
-        ws_ = std::move(other.ws_);
-        other.pool_ = nullptr;
-      }
-      return *this;
-    }
-    Lease(const Lease&) = delete;
-    Lease& operator=(const Lease&) = delete;
-    ~Lease() { release(); }
-
-    RewriteWorkspace* get() const { return ws_.get(); }
-    RewriteWorkspace* operator->() const { return ws_.get(); }
-    explicit operator bool() const { return ws_ != nullptr; }
-
-   private:
-    friend class WorkspacePool;
-    Lease(WorkspacePool* pool, std::unique_ptr<RewriteWorkspace> ws)
-        : pool_(pool), ws_(std::move(ws)) {}
-    void release() {
-      if (pool_ && ws_) pool_->give_back(std::move(ws_));
-      pool_ = nullptr;
-      ws_.reset();
-    }
-
-    WorkspacePool* pool_ = nullptr;
-    std::unique_ptr<RewriteWorkspace> ws_;
-  };
-
-  Lease checkout();
-
-  /// Workspaces ever created (== peak concurrency observed); tests use it
-  /// to prove recycling actually happened.
-  std::size_t created() const;
-  std::size_t idle_count() const;
-
- private:
-  void give_back(std::unique_ptr<RewriteWorkspace> ws);
-
-  mutable std::mutex mu_;
-  std::vector<std::unique_ptr<RewriteWorkspace>> idle_;
-  std::size_t created_ = 0;
-};
+/// The calling thread's workspace, created on first use and destroyed at
+/// thread exit.
+RewriteWorkspace& this_thread_workspace();
 
 }  // namespace zipr

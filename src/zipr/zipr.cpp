@@ -2,7 +2,6 @@
 
 #include <chrono>
 
-#include "analysis/scratch.h"
 #include "support/rng.h"
 #include "transform/api.h"
 #include "zipr/workspace.h"
@@ -19,19 +18,19 @@ double ms_since(Clock::time_point start) {
 
 // rewrite() is REENTRANT: every piece of pipeline state (IR program,
 // transform contexts, reassembler, placement strategy, RNGs) lives in this
-// call frame. The only process-global state it touches is the transform
-// registry (mutex-guarded, and mutated only by register_transform) and the
-// logger (thread-safe sink). Concurrent calls on distinct inputs -- or even
-// the same input -- are safe; the batch engine (src/batch) relies on this.
-Result<RewriteResult> rewrite(const zelf::Image& input, const RewriteOptions& options,
-                              RewriteWorkspace* workspace) {
+// call frame or in the calling thread's workspace. The only process-global
+// state it touches is the transform registry (mutex-guarded, and mutated
+// only by register_transform) and the logger (thread-safe sink).
+// Concurrent calls on distinct inputs -- or even the same input -- are
+// safe; the batch engine (src/batch) relies on this.
+Result<RewriteResult> rewrite(const zelf::Image& input, const RewriteOptions& options) {
+  RewriteWorkspace& workspace = this_thread_workspace();
   StageTimes timing;
   Clock::time_point stage_start = Clock::now();
 
   // Phase 1: IR Construction.
-  analysis::AnalysisScratch* scratch = workspace ? &workspace->analysis() : nullptr;
   ZIPR_ASSIGN_OR_RETURN(analysis::IrProgram prog,
-                        analysis::build_ir(input, options.analysis, scratch));
+                        analysis::build_ir(input, options.analysis, &workspace.analysis()));
   timing.ir_ms = ms_since(stage_start);
   stage_start = Clock::now();
 
@@ -66,7 +65,6 @@ Result<RewriteResult> rewrite(const zelf::Image& input, const RewriteOptions& op
       options.placement != rewriter::PlacementKind::kDiversity);
   ropts.coalesce = options.coalesce.value_or(
       options.placement != rewriter::PlacementKind::kDiversity);
-  ropts.arena = workspace ? workspace->arena() : nullptr;
   rewriter::Reassembler reassembler(prog, ropts);
   ZIPR_ASSIGN_OR_RETURN(zelf::Image out, reassembler.run());
 
@@ -80,7 +78,7 @@ Result<RewriteResult> rewrite(const zelf::Image& input, const RewriteOptions& op
   result.timing = timing;
   // Let the workspace see this cycle's demand (and trim if an earlier
   // oversized request left it holding far more than recent traffic needs).
-  if (workspace) workspace->finish_cycle();
+  workspace.finish_cycle();
   return result;
 }
 

@@ -73,24 +73,19 @@ struct RewriteResult {
   StageTimes timing;
 };
 
-class RewriteWorkspace;  // workspace.h: recycled per-worker scratch state
-
 /// Rewrite `input`, applying the configured transforms. The whole pipeline
 /// runs on the calling thread.
 ///
-/// `workspace`, if given, lends recycled scratch state (see workspace.h):
-/// the pipeline's large transient tables and the reassembly arena borrow
-/// its capacity instead of allocating fresh. Null allocates per call (the
-/// reassembly arena then falls back to its bounded thread_local). Every
-/// borrowed buffer is re-initialized per rewrite, so output bytes are
-/// identical with or without a workspace; it is never part of the options
-/// that key the serve layer's artifact cache.
+/// The pipeline's large transient tables and the reassembly arena borrow
+/// the calling thread's RewriteWorkspace (see workspace.h), so successive
+/// rewrites on one thread recycle each other's capacity. Every borrowed
+/// buffer is re-initialized per rewrite: output bytes depend only on
+/// `input` and `options`, never on what the thread rewrote before.
 ///
-/// REENTRANT: all pipeline state is per-call; concurrent rewrites from
-/// multiple threads are safe (see the batch engine, src/batch). The only
-/// shared state touched is the mutex-guarded transform registry and the
-/// thread-safe logger.
-Result<RewriteResult> rewrite(const zelf::Image& input, const RewriteOptions& options = {},
-                              RewriteWorkspace* workspace = nullptr);
+/// REENTRANT: all pipeline state is per-call or per-thread; concurrent
+/// rewrites from multiple threads are safe (see the batch engine,
+/// src/batch). The only shared state touched is the mutex-guarded
+/// transform registry and the thread-safe logger.
+Result<RewriteResult> rewrite(const zelf::Image& input, const RewriteOptions& options = {});
 
 }  // namespace zipr

@@ -10,12 +10,13 @@
 #include "cgc/workload.h"
 #include "testing_util.h"
 #include "zelf/io.h"
-#include "zipr/workspace.h"
 
 namespace zipr::cgc {
 namespace {
 
+using ::zipr::testing::cold_rewrite_bytes;
 using ::zipr::testing::must_rewrite;
+using ::zipr::testing::on_fresh_thread;
 
 TEST(Generator, CorpusHas62DistinctCbs) {
   auto corpus = cfe_corpus();
@@ -119,8 +120,9 @@ INSTANTIATE_TEST_SUITE_P(Slices, CorpusFunctionalTest, ::testing::Range(0, 8));
 // output of every corpus CB plus the x1 synthetic large CB, under each
 // placement strategy. Any change to output bytes moves it, so a change
 // that means to keep the bytes must keep the constant. Each rewrite runs
-// twice -- without a workspace and through one workspace shared across the
-// whole loop -- and both must produce the same digest.
+// twice -- cold, on a fresh thread with an empty workspace, and warm, on
+// one thread whose workspace is recycled across the whole loop -- and both
+// must produce the same digest.
 constexpr std::uint64_t kFnvOffset = 0xcbf29ce484222325ULL;
 constexpr std::uint64_t kGoldenCorpusDigest = 0x603b78566753593dULL;
 
@@ -153,24 +155,31 @@ TEST(Golden, CorpusOutputDigest) {
   const rewriter::PlacementKind kinds[] = {rewriter::PlacementKind::kNearfit,
                                            rewriter::PlacementKind::kDiversity,
                                            rewriter::PlacementKind::kPinPage};
-  RewriteWorkspace shared;
-  std::uint64_t plain_digest = kFnvOffset, shared_digest = kFnvOffset;
+  std::vector<zelf::Image> images;
   for (const auto& spec : specs) {
     auto cb = generate_cb(spec);
     ASSERT_TRUE(cb.ok()) << spec.name << ": " << cb.error().message;
+    images.push_back(std::move(cb->image));
+  }
+  std::uint64_t cold_digest = kFnvOffset, warm_digest = kFnvOffset;
+  for (const auto& image : images) {
     for (auto kind : kinds) {
       RewriteOptions opts;
       opts.placement = kind;
-      auto plain = rewrite(cb->image, opts);
-      ASSERT_TRUE(plain.ok()) << spec.name << ": " << plain.error().message;
-      plain_digest = fnv1a(plain_digest, zelf::write_image(plain->image));
-      auto recycled = rewrite(cb->image, opts, &shared);
-      ASSERT_TRUE(recycled.ok()) << spec.name << ": " << recycled.error().message;
-      shared_digest = fnv1a(shared_digest, zelf::write_image(recycled->image));
+      cold_digest = fnv1a(cold_digest, cold_rewrite_bytes(image, opts));
     }
   }
-  EXPECT_EQ(plain_digest, kGoldenCorpusDigest);
-  EXPECT_EQ(shared_digest, kGoldenCorpusDigest);
+  on_fresh_thread([&] {
+    for (const auto& image : images) {
+      for (auto kind : kinds) {
+        RewriteOptions opts;
+        opts.placement = kind;
+        warm_digest = fnv1a(warm_digest, zelf::write_image(must_rewrite(image, opts).image));
+      }
+    }
+  });
+  EXPECT_EQ(cold_digest, kGoldenCorpusDigest);
+  EXPECT_EQ(warm_digest, kGoldenCorpusDigest);
 }
 
 TEST(Metrics, HistogramBinning) {

@@ -78,7 +78,7 @@ Bytes assemble_bytes(std::string_view src) {
 Bytes cold_reference(ByteView input, const RewriteOptions& opts) {
   auto img = zelf::read_image(input);
   EXPECT_TRUE(img.ok());
-  return zelf::write_image(must_rewrite(*img, opts).image);
+  return ::zipr::testing::cold_rewrite_bytes(*img, opts);
 }
 
 // ---- options codec: cache-key completeness (satellite #1) ----
@@ -617,39 +617,43 @@ Bytes variant_input(int i) {
 }
 
 TEST(ServeEngine, ColdThroughRecycledWorkspaceIsByteIdentical) {
-  // clear_cache() drops artifacts but keeps the engine's workspaces warm,
-  // so the second pass runs the FULL cold pipeline through recycled
-  // buffers; its bytes must match the fresh-workspace first pass exactly.
+  // handle() rewrites on the calling thread, here a fresh one, so the
+  // first pass starts from an empty workspace. clear_cache() drops
+  // artifacts but leaves the thread's workspace warm, so the second pass
+  // runs the FULL cold pipeline through recycled buffers; its bytes must
+  // match the first pass exactly.
   RewriteOptions opts;
   opts.transforms = {"cfi"};
   ServeOptions sopts;
   sopts.enable_delta = false;  // variants share text; force the COLD path
   ServeEngine engine(sopts);
   constexpr int kVariants = 6;
-  std::vector<Bytes> first_pass(kVariants);
-  for (int i = 0; i < kVariants; ++i) {
-    auto r = engine.handle(variant_input(i), opts);
-    ASSERT_TRUE(r.ok()) << r.error().message;
-    EXPECT_EQ(r->source, Source::kCold);
-    first_pass[i] = r->output;
-  }
+  ::zipr::testing::on_fresh_thread([&] {
+    std::vector<Bytes> first_pass(kVariants);
+    for (int i = 0; i < kVariants; ++i) {
+      auto r = engine.handle(variant_input(i), opts);
+      ASSERT_TRUE(r.ok()) << r.error().message;
+      EXPECT_EQ(r->source, Source::kCold);
+      first_pass[i] = r->output;
+    }
 
-  engine.clear_cache();
-  for (int i = 0; i < kVariants; ++i) {
-    auto r = engine.handle(variant_input(i), opts);
-    ASSERT_TRUE(r.ok()) << r.error().message;
-    EXPECT_EQ(r->source, Source::kCold) << "clear_cache() left an artifact behind";
-    EXPECT_EQ(r->output, first_pass[i])
-        << "recycled workspace drifted on variant " << i;
-  }
+    engine.clear_cache();
+    for (int i = 0; i < kVariants; ++i) {
+      auto r = engine.handle(variant_input(i), opts);
+      ASSERT_TRUE(r.ok()) << r.error().message;
+      EXPECT_EQ(r->source, Source::kCold) << "clear_cache() left an artifact behind";
+      EXPECT_EQ(r->output, first_pass[i])
+          << "recycled workspace drifted on variant " << i;
+    }
+  });
 }
 
 TEST(ServeEngine, SubmitStormOverRecycledWorkspacesMatchesSyncHandle) {
   // Digest differential, fresh vs recycled, under concurrency: references
-  // come from a single-threaded engine with fresh state; the storm engine
-  // then serves the same corpus repeatedly across jobs=4 workers, with
-  // clear_cache() between rounds so every round runs cold through
-  // RECYCLED pool workspaces. Part of the TSan workload (tsan_smoke).
+  // come from a single-threaded engine; the storm engine then serves the
+  // same corpus repeatedly across jobs=4 workers, with clear_cache()
+  // between rounds so every round runs cold through the workers' RECYCLED
+  // per-thread workspaces. Part of the TSan workload (tsan_smoke).
   constexpr int kVariants = 8;
   constexpr int kRounds = 3;
   RewriteOptions opts;
@@ -873,6 +877,51 @@ TEST(ServeSocket, ClientsThatHangUpBeforeTheReplyDoNotKillTheServer) {
   EXPECT_EQ(good->output, cold_reference(input, opts));
 
   server.join();
+  std::remove(path.c_str());
+}
+
+TEST(ServeSocket, IdleClientTimesOutAndTheNextClientIsServed) {
+  // The accept loop serves one connection at a time. A client that
+  // connects and never sends a byte must cost the client queued behind it
+  // no more than kConnectionDeadline before its read times out.
+  const std::string path =
+      (std::filesystem::temp_directory_path() /
+       ("zipr_serve_idle_" + std::to_string(::getpid()) + ".sock"))
+          .string();
+  std::remove(path.c_str());
+
+  ServeEngine engine;
+  serve::SocketServerOptions sopts;
+  sopts.path = path;
+  sopts.max_requests = 2;  // the idle client, then the real one
+  std::thread server([&] {
+    Status st = serve::serve_on_socket(engine, sopts);
+    EXPECT_TRUE(st.ok()) << st.error().message;
+  });
+
+  int idle = -1;
+  for (int attempt = 0; attempt < 200 && idle < 0; ++attempt) {
+    idle = connect_raw(path);
+    if (idle < 0) std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  ASSERT_GE(idle, 0) << "server never accepted";
+
+  Bytes input = assemble_bytes(kDataProgram);
+  RewriteOptions opts;
+  opts.transforms = {"cfi"};
+  auto start = std::chrono::steady_clock::now();
+  auto reply = serve::submit_over_socket(path, input, opts);
+  auto waited = std::chrono::steady_clock::now() - start;
+  ASSERT_TRUE(reply.ok()) << reply.error().message;
+  EXPECT_LT(waited, 3 * serve::kConnectionDeadline);
+
+  ServeEngine reference_engine;
+  auto direct = reference_engine.handle(input, opts);
+  ASSERT_TRUE(direct.ok()) << direct.error().message;
+  EXPECT_EQ(reply->output, direct->output);
+
+  server.join();
+  ::close(idle);
   std::remove(path.c_str());
 }
 

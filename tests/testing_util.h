@@ -5,9 +5,12 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <thread>
+#include <utility>
 
 #include "asm/assembler.h"
 #include "vm/machine.h"
+#include "zelf/io.h"
 #include "zipr/zipr.h"
 
 namespace zipr::testing {
@@ -24,6 +27,23 @@ inline RewriteResult must_rewrite(const zelf::Image& input, RewriteOptions opts 
   EXPECT_TRUE(r.ok()) << (r.ok() ? "" : r.error().message);
   if (!r.ok()) std::abort();
   return std::move(r).value();
+}
+
+/// Run `fn` on a new thread and wait for it. rewrite() borrows the calling
+/// thread's workspace, so the first rewrite on a new thread starts cold,
+/// from an empty workspace that the thread frees on exit.
+template <typename Fn>
+void on_fresh_thread(Fn&& fn) {
+  std::thread t(std::forward<Fn>(fn));
+  t.join();
+}
+
+/// Serialized output of a rewrite on a fresh thread: the cold reference
+/// any warm (recycled-workspace) rewrite must match.
+inline Bytes cold_rewrite_bytes(const zelf::Image& input, const RewriteOptions& opts = {}) {
+  Bytes out;
+  on_fresh_thread([&] { out = zelf::write_image(must_rewrite(input, opts).image); });
+  return out;
 }
 
 /// Behaviour of one run, summarized for equality checks.

@@ -3,8 +3,11 @@
 #include <gtest/gtest.h>
 
 #include "analysis/ir_builder.h"
+#include "cgc/generator.h"
 #include "isa/opcodes.h"
+#include "support/rng.h"
 #include "testing_util.h"
+#include "transform/api.h"
 #include "zelf/io.h"
 #include "zipr/dollop.h"
 #include "zipr/memory_space.h"
@@ -33,9 +36,11 @@ using rewriter::DollopManager;
 using rewriter::MemorySpace;
 using rewriter::PlacementKind;
 using ::zipr::testing::behaviour_of;
+using ::zipr::testing::cold_rewrite_bytes;
 using ::zipr::testing::expect_equivalent;
 using ::zipr::testing::must_assemble;
 using ::zipr::testing::must_rewrite;
+using ::zipr::testing::on_fresh_thread;
 using zelf::layout::kTextBase;
 
 // ---- MemorySpace ----
@@ -969,7 +974,7 @@ TEST(Sled, ThreeAdjacentPins) {
   }
 }
 
-// ---- recycled workspaces (rewrite()'s workspace parameter) ----
+// ---- recycled workspaces (one per thread, borrowed by rewrite()) ----
 
 // A straight-line program whose size scales linearly with `n`, for driving
 // the workspace's text-proportional scratch tables to chosen demands.
@@ -984,34 +989,36 @@ TEST(Workspace, RecyclingNeverChangesOutputBytes) {
   zelf::Image img = must_assemble(straightline_program(400));
   RewriteOptions opts;
   opts.transforms = {"cfi"};
-  Bytes reference = zelf::write_image(must_rewrite(img, opts).image);
+  Bytes reference = cold_rewrite_bytes(img, opts);
 
-  RewriteWorkspace ws;
-  for (int pass = 0; pass < 3; ++pass) {
-    auto r = rewrite(img, opts, &ws);
-    ASSERT_TRUE(r.ok()) << r.error().message;
-    EXPECT_EQ(zelf::write_image(r->image), reference)
-        << "recycled workspace drifted on pass " << pass;
-  }
-  EXPECT_EQ(ws.cycles(), 3u);
-  EXPECT_GT(ws.retained_bytes(), 0u) << "nothing was actually recycled";
+  on_fresh_thread([&] {
+    for (int pass = 0; pass < 3; ++pass) {
+      auto r = rewrite(img, opts);
+      ASSERT_TRUE(r.ok()) << r.error().message;
+      EXPECT_EQ(zelf::write_image(r->image), reference)
+          << "recycled workspace drifted on pass " << pass;
+    }
+    EXPECT_EQ(this_thread_workspace().cycles(), 3u);
+    EXPECT_GT(this_thread_workspace().retained_bytes(), 0u) << "nothing was actually recycled";
+  });
 }
 
 TEST(Workspace, ReuseAcrossDifferentImagesMatchesFreshRewrites) {
   zelf::Image a = must_assemble(straightline_program(300));
   zelf::Image b = must_assemble(straightline_program(37));
-  Bytes ref_a = zelf::write_image(must_rewrite(a).image);
-  Bytes ref_b = zelf::write_image(must_rewrite(b).image);
+  Bytes ref_a = cold_rewrite_bytes(a);
+  Bytes ref_b = cold_rewrite_bytes(b);
 
   // Big then small then big again through ONE workspace: stale capacity
   // from a previous (differently-sized) input must never leak into bytes.
-  RewriteWorkspace ws;
-  for (const auto* want : {&ref_a, &ref_b, &ref_a}) {
-    const zelf::Image& img = (want == &ref_a) ? a : b;
-    auto r = rewrite(img, {}, &ws);
-    ASSERT_TRUE(r.ok()) << r.error().message;
-    EXPECT_EQ(zelf::write_image(r->image), *want);
-  }
+  on_fresh_thread([&] {
+    for (const auto* want : {&ref_a, &ref_b, &ref_a}) {
+      const zelf::Image& img = (want == &ref_a) ? a : b;
+      auto r = rewrite(img);
+      ASSERT_TRUE(r.ok()) << r.error().message;
+      EXPECT_EQ(zelf::write_image(r->image), *want);
+    }
+  });
 }
 
 TEST(Workspace, OversizedCycleAgesOutOfTheRetentionWindow) {
@@ -1019,72 +1026,113 @@ TEST(Workspace, OversizedCycleAgesOutOfTheRetentionWindow) {
   // its high-water mark once the trim window fills with x1 traffic.
   zelf::Image big = must_assemble(straightline_program(20000));
   zelf::Image small = must_assemble(straightline_program(50));
+  Bytes small_ref = cold_rewrite_bytes(small);
 
-  RewriteWorkspace ws;
-  ASSERT_TRUE(rewrite(big, {}, &ws).ok());
-  std::size_t after_big = ws.retained_bytes();
-  ASSERT_GT(after_big, 0u);
+  on_fresh_thread([&] {
+    RewriteWorkspace& ws = this_thread_workspace();
+    ASSERT_TRUE(rewrite(big).ok());
+    std::size_t after_big = ws.retained_bytes();
+    ASSERT_GT(after_big, 0u);
 
-  // More small cycles than the trim window holds: the oversized demand
-  // ages out and finish_cycle() releases down to ~2x the small demand.
-  std::size_t settled = after_big;
-  for (int i = 0; i < 8; ++i) {
-    ASSERT_TRUE(rewrite(small, {}, &ws).ok());
-    settled = std::min(settled, ws.retained_bytes());
-  }
-  EXPECT_LT(settled, after_big / 2)
-      << "workspace still pins the oversized high-water mark ("
-      << after_big << " -> " << settled << " bytes)";
+    // More small cycles than the trim window holds: the oversized demand
+    // ages out and finish_cycle() releases down to ~2x the small demand.
+    std::size_t settled = after_big;
+    for (int i = 0; i < 8; ++i) {
+      ASSERT_TRUE(rewrite(small).ok());
+      settled = std::min(settled, ws.retained_bytes());
+    }
+    EXPECT_LT(settled, after_big / 2)
+        << "workspace still pins the oversized high-water mark ("
+        << after_big << " -> " << settled << " bytes)";
 
-  // And the trimmed workspace still produces correct bytes.
-  auto r = rewrite(small, {}, &ws);
-  ASSERT_TRUE(r.ok());
-  EXPECT_EQ(zelf::write_image(r->image), zelf::write_image(must_rewrite(small).image));
+    // And the trimmed workspace still produces correct bytes.
+    auto r = rewrite(small);
+    ASSERT_TRUE(r.ok());
+    EXPECT_EQ(zelf::write_image(r->image), small_ref);
+  });
 }
 
-TEST(Workspace, ThreadLocalArenaRetentionIsBounded) {
-  // Workspace-less rewrites share a thread_local reassembly arena; its
-  // retention uses a two-cycle hysteresis, so a x50 rewrite followed by
-  // sustained x1 traffic must release the high-water mark by the third
-  // small acquire instead of pinning it for the thread's lifetime.
-  zelf::Image big = must_assemble(straightline_program(20000));
-  zelf::Image small = must_assemble(straightline_program(50));
+TEST(Workspace, FailedRewriteLeavesTheThreadWorkspaceUsable) {
+  // A failed rewrite abandons whatever it borrowed mid-pass; the next
+  // rewrite on the same thread must still start from a usable workspace.
+  zelf::Image good = must_assemble(straightline_program(300));
+  zelf::Image invalid = good;
+  invalid.entry = 0x10;  // outside every segment: fails validate()
+  RewriteOptions opts;
+  opts.transforms = {"cfi"};
+  RewriteOptions unknown = opts;
+  unknown.transforms = {"cfi", "no-such-transform"};
 
-  ASSERT_TRUE(rewrite(big).ok());
-  std::size_t after_big = rewriter::thread_arena_retained_bytes();
-  ASSERT_GT(after_big, 0u);
+  on_fresh_thread([&] {
+    auto first = rewrite(good, opts);
+    ASSERT_TRUE(first.ok()) << first.error().message;
 
-  std::size_t settled = after_big;
-  for (int i = 0; i < 4; ++i) {
-    ASSERT_TRUE(rewrite(small).ok());
-    settled = std::min(settled, rewriter::thread_arena_retained_bytes());
-  }
-  EXPECT_LT(settled, after_big / 2)
-      << "thread arena still pins the oversized high-water mark ("
-      << after_big << " -> " << settled << " bytes)";
+    auto after_ir = rewrite(good, unknown);  // fails after build_ir
+    ASSERT_FALSE(after_ir.ok());
+    EXPECT_NE(after_ir.error().message.find("no-such-transform"), std::string::npos)
+        << after_ir.error().message;
+
+    auto bad_image = rewrite(invalid, opts);
+    ASSERT_FALSE(bad_image.ok());
+    EXPECT_EQ(bad_image.error().kind, Error::Kind::kInvalidArgument);
+
+    auto again = rewrite(good, opts);
+    ASSERT_TRUE(again.ok()) << again.error().message;
+    EXPECT_EQ(zelf::write_image(again->image), zelf::write_image(first->image));
+  });
 }
 
-TEST(WorkspacePool, CheckoutRecyclesSequentiallyAndLeaseReturns) {
-  WorkspacePool pool;
-  EXPECT_EQ(pool.created(), 0u);
-  {
-    WorkspacePool::Lease lease = pool.checkout();
-    ASSERT_TRUE(lease);
-    EXPECT_EQ(pool.created(), 1u);
-    EXPECT_EQ(pool.idle_count(), 0u);
+// ---- the pipeline restated through its public layers ----
 
-    // A concurrent checkout while the first is leased makes a SECOND
-    // workspace rather than sharing (workspaces are single-owner).
-    WorkspacePool::Lease other = pool.checkout();
-    EXPECT_NE(lease.get(), other.get());
-    EXPECT_EQ(pool.created(), 2u);
+TEST(Pipeline, LayeredPathMatchesRewrite) {
+  // rewrite() spelled out layer by layer, the way perfbench's traced replay
+  // runs it: build_ir without scratch, the mandatory checks around the
+  // transforms, and a directly constructed Reassembler. Both paths must
+  // produce the same bytes.
+  auto layered = [](const zelf::Image& input, const RewriteOptions& options) -> Result<Bytes> {
+    ZIPR_ASSIGN_OR_RETURN(analysis::IrProgram prog,
+                          analysis::build_ir(input, options.analysis));
+    ZIPR_TRY(transform::verify_mandatory(prog));
+    std::vector<std::string> names = options.transforms;
+    if (names.empty()) names.push_back("null");
+    std::uint64_t stream = 1;
+    transform::TransformConfig tconfig;
+    tconfig.cov_prune = options.cov_prune;
+    for (const auto& name : names) {
+      ZIPR_ASSIGN_OR_RETURN(auto t, transform::make_transform(name));
+      transform::TransformContext ctx(prog, derive_seed(options.seed, stream++), tconfig);
+      ZIPR_TRY(t->apply(ctx));
+    }
+    ZIPR_TRY(transform::verify_mandatory(prog));
+    rewriter::ReassemblyOptions ropts;
+    ropts.placement = options.placement;
+    ropts.seed = derive_seed(options.seed, 0);
+    ropts.prefer_short_refs = options.prefer_short_refs.value_or(
+        options.placement != PlacementKind::kDiversity);
+    ropts.coalesce =
+        options.coalesce.value_or(options.placement != PlacementKind::kDiversity);
+    rewriter::Reassembler reassembler(prog, ropts);
+    ZIPR_ASSIGN_OR_RETURN(zelf::Image out, reassembler.run());
+    return zelf::write_image(out);
+  };
+
+  const auto corpus = cgc::cfe_corpus();
+  for (std::size_t i : {std::size_t{0}, std::size_t{23}, corpus.size() - 1}) {
+    auto cb = cgc::generate_cb(corpus[i]);
+    ASSERT_TRUE(cb.ok()) << corpus[i].name << ": " << cb.error().message;
+    for (auto kind : {PlacementKind::kNearfit, PlacementKind::kDiversity,
+                      PlacementKind::kPinPage}) {
+      RewriteOptions opts;
+      opts.placement = kind;
+      opts.transforms = {"cfi"};
+      auto direct = rewrite(cb->image, opts);
+      ASSERT_TRUE(direct.ok()) << corpus[i].name << ": " << direct.error().message;
+      auto replayed = layered(cb->image, opts);
+      ASSERT_TRUE(replayed.ok()) << corpus[i].name << ": " << replayed.error().message;
+      EXPECT_EQ(*replayed, zelf::write_image(direct->image))
+          << corpus[i].name << " under placement " << static_cast<int>(kind);
+    }
   }
-  EXPECT_EQ(pool.idle_count(), 2u);
-
-  // Sequential checkouts now recycle; nothing new is created.
-  for (int i = 0; i < 5; ++i) WorkspacePool::Lease lease = pool.checkout();
-  EXPECT_EQ(pool.created(), 2u);
-  EXPECT_EQ(pool.idle_count(), 2u);
 }
 
 }  // namespace

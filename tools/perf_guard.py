@@ -49,7 +49,8 @@ Notes:
     identical bytes, never a wrong answer) and throughput against the
     baseline's recorded floors: warm_speedup >= min_warm_speedup,
     cache_hit_rate >= min_cache_hit_rate, cold_start.steady_speedup >=
-    min_steady_speedup (the workspace pool's win on repeated cold misses),
+    min_steady_speedup (the per-thread workspace's win on repeated cold
+    misses),
     delta.wall_ms strictly below cold_wall_ms (a delta resubmission must
     cost less than the cold rewrite it replaces), and peak_rss_kb under the
     baseline's max_peak_rss_kb ceiling (the workspace trim policy's bound).
@@ -101,7 +102,7 @@ def load_json(path):
 
 
 # Absolute gates for the BM_RewriteLarge size sweep (see guard_micro).
-# The bench now measures WARM iterations through a persistent
+# The bench now measures WARM iterations through the benchmark thread's
 # RewriteWorkspace (one untimed fill before the AllocScope), the way a
 # serve/batch worker runs: measured ~680 allocs/op at x1 after the
 # workspace + recycled-scratch work (down from ~1.4k without, and ~226k
@@ -423,7 +424,7 @@ def guard_serve(args):
         print(f"  [{status:>4}]  serve.delta.wall_ms < cold_wall_ms: "
               f"{delta_wall:8.1f} ms vs {cold_wall:8.1f} ms")
 
-    # Cold-start: the pooled workspaces must keep buying their floor (the
+    # Cold-start: the per-thread workspace must keep buying its floor (the
     # BASELINE's recorded floor, like the other absolute gates).
     cs_floor = float(base.get("cold_start", {}).get("min_steady_speedup", 0))
     if cs_floor > 0:
@@ -436,7 +437,7 @@ def guard_serve(args):
               f"(fresh {got:.2f}x)")
 
     # Peak-RSS ceiling: the workspace trim policy bounds what the bench
-    # process may pin. A leaky pool (one oversized request keeping its
+    # process may pin. A leaky workspace (one oversized request keeping its
     # tables forever, every worker hoarding a high-water copy) blows
     # through this even when wall times look fine.
     rss_ceiling = float(base.get("max_peak_rss_kb", 0))

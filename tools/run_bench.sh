@@ -58,9 +58,9 @@
 #               "first_request_wall_ms": <fresh engine, fresh heap>,
 #               "steady_wall_ms": <best cold request on a warm engine,
 #                                  cache cleared between requests>,
-#               "steady_speedup": <first/steady -- the workspace-pool win>,
+#               "steady_speedup": <first/steady -- the per-thread workspace win>,
 #               "min_steady_speedup": <gated floor, 1.5x>,
-#               "outputs_identical": <fresh == recycled == no-workspace>},
+#               "outputs_identical": <fresh == recycled == fresh-thread rewrite>},
 #     "delta": {"attempted": N, "hits": N, "min_hits": <gated floor>,
 #               "cold_fallbacks": N,
 #               "wall_ms": <engine.handle() only: inputs perturbed before,
