@@ -19,13 +19,15 @@
 //            [--shards=N] [--seed=N] [--input=<seed file>]... [--crash-dir=DIR]
 //
 // Serve mode: long-running rewrite service on a local Unix socket, with a
-// content-addressed artifact cache and a page-delta fast path.
+// content-addressed artifact cache and a page-delta fast path; --jobs
+// connections are served at once (default: hardware concurrency).
 //   zipr-cli serve --socket=PATH [--jobs=N] [--cache-mb=N] [--no-delta]
 //            [--max-delta-pages=N] [--max-requests=N] [--cache-file=PATH]
 //   zipr-cli submit <input.zelf> --socket=PATH --out=<output.zelf>
 //            [rewrite flags as in single-binary mode]
 #include <cinttypes>
 #include <climits>
+#include <cstdint>
 #include <filesystem>
 
 #include "batch/batch_rewriter.h"
@@ -87,7 +89,7 @@ int run_serve(const zipr::cli::Args& args) {
   if (!socket_path) cli::die("serve mode requires --socket=<path>");
 
   serve::ServeOptions sopts;
-  sopts.jobs = static_cast<int>(cli::checked_u64(args, "jobs", 1, 4096));
+  sopts.jobs = static_cast<int>(cli::checked_u64(args, "jobs", 0, 4096));
   sopts.cache_bytes =
       static_cast<std::size_t>(cli::checked_u64(args, "cache-mb", 64, 1 << 20)) << 20;
   sopts.enable_delta = !args.has("no-delta");
@@ -104,8 +106,9 @@ int run_serve(const zipr::cli::Args& args) {
       static_cast<long>(cli::checked_u64(args, "max-requests", 0, LONG_MAX));
   if (server.max_requests == 0) server.max_requests = -1;  // 0/absent = unbounded
 
-  std::printf("serve: listening on %s (jobs %d, cache %zu MiB, delta %s%s%s)\n",
-              socket_path->c_str(), sopts.jobs, sopts.cache_bytes >> 20,
+  std::printf("serve: listening on %s (jobs %zu, cache %zu MiB, delta %s%s%s)\n",
+              socket_path->c_str(), batch::effective_jobs(sopts.jobs, SIZE_MAX),
+              sopts.cache_bytes >> 20,
               sopts.enable_delta ? "on" : "off",
               sopts.cache_file.empty() ? "" : ", persist ",
               sopts.cache_file.c_str());
@@ -365,8 +368,9 @@ int main(int argc, char** argv) {
         "                [--cov-prune|--no-cov-prune]\n"
         "                (coverage-guided fuzzing; --shards>1 = multi-shard farm)\n"
         "       zipr-cli serve --socket=<path> [--jobs=N] [--cache-mb=N] [--no-delta]\n"
-        "                [--max-delta-pages=N] [--max-requests=N]\n"
-        "                (rewrite service: content-addressed cache + delta path)\n"
+        "                [--max-delta-pages=N] [--max-requests=N] [--cache-file=<path>]\n"
+        "                (rewrite service: content-addressed cache + delta path;\n"
+        "                 serves --jobs connections at once, default all cores)\n"
         "       zipr-cli submit <input.zelf> --socket=<path> --out=<output.zelf>\n"
         "                [shared rewrite flags]\n"
         "                (send one job to a running serve instance)\n");
