@@ -207,7 +207,10 @@ void ArtifactCache::insert_locked(const CacheKey& key, Artifact artifact, bool p
   auto it = entries_.find(key);
   if (it != entries_.end()) {
     // Replace in place (same key => same content in practice; a replace
-    // still keeps the byte accounting exact).
+    // still keeps the byte accounting exact). The file already holds a
+    // record for this key -- two clients racing on one new input both
+    // insert -- so a replace is not appended again.
+    persist = false;
     stats_.bytes -= it->second.artifact->charge();
     lru_.erase(it->second.lru_it);
     entries_.erase(it);
