@@ -30,9 +30,9 @@ inline Config cfi_config() {
 }
 
 /// Evaluate the 62-CB corpus under one configuration. The corpus fans out
-/// across a batch worker pool (jobs <= 0 = hardware concurrency, 1 =
+/// over batch::parallel_for (jobs <= 0 = hardware concurrency, 1 =
 /// serial); results are deterministic and order-preserving either way, so
-/// every figure is identical whichever pool size ran it.
+/// every figure is identical whichever job count ran it.
 inline std::vector<cgc::CbMetrics> evaluate(const Config& config, int polls = 8, int jobs = 0) {
   cgc::EvalOptions opts;
   opts.rewrite = config.rewrite;

@@ -126,7 +126,7 @@ farm::FarmResult must_campaign(const zelf::Image& img, const Bytes& seed_input,
 
 // Efficiency floor at 8 shards: the farm may not burn more than 40% of
 // ideal aggregate throughput on orchestration (sync epochs, snapshots,
-// the worker pool). Ideal = eps(1 shard) x min(shards, cores).
+// the lane threads). Ideal = eps(1 shard) x min(shards, cores).
 constexpr double kMinEfficiency8 = 0.6;
 
 }  // namespace

@@ -23,7 +23,7 @@ int main() {
 
   std::printf("== Figure 7: Average overheads for final event CBs ==\n\n");
 
-  // Corpus loops ride the batch worker pool (jobs=0 = hardware
+  // Corpus loops ride batch::parallel_for (jobs=0 = hardware
   // concurrency); averages match the serial path exactly.
   auto base = evaluate(baseline_config());
   auto cfi = evaluate(cfi_config());

@@ -110,8 +110,8 @@ BatchResult BatchRewriter::run(std::vector<BatchTask> tasks) const {
   out.items.reserve(tasks.size());
   for (std::size_t i = 0; i < slots.size(); ++i) {
     if (!slots[i]) {
-      // Unreachable with a healthy pool; keep the slot accounted for
-      // rather than silently shifting later items.
+      // Unreachable while parallel_for runs every index; keep the slot
+      // accounted for rather than silently shifting later items.
       out.items.push_back({tasks[i].name,
                            Error::internal("batch task '" + tasks[i].name + "' never ran"), 0});
       continue;
@@ -120,9 +120,10 @@ BatchResult BatchRewriter::run(std::vector<BatchTask> tasks) const {
   }
   out.stats = aggregate(out.items, ms_since(start), jobs);
 
-  if (out.stats.failed > 0)
+  if (out.stats.failed > 0) {
     ZIPR_INFO << "batch: " << out.stats.failed << " of " << out.stats.total
               << " task(s) failed (isolated; batch completed)";
+  }
   return out;
 }
 

@@ -3,8 +3,8 @@
 // Zipr's evaluation is corpus-scale: the paper rewrites ~100 CGC challenge
 // binaries per configuration, and robustness is judged by how gracefully a
 // rewriter fails across thousands of inputs. BatchRewriter drives N inputs
-// through the (reentrant) zipr::rewrite pipeline on a fixed-size worker
-// pool with:
+// through the (reentrant) zipr::rewrite pipeline on batch::parallel_for
+// (the calling thread plus jobs - 1 helpers), with:
 //
 //   * deterministic output ordering -- result slot i always corresponds to
 //     task i, regardless of completion order, so a parallel batch is
@@ -29,8 +29,8 @@
 
 namespace zipr::batch {
 
-/// Produces one input image on the worker thread (must be safe to invoke
-/// concurrently with other tasks' factories).
+/// Produces one input image on the thread that runs its task (must be safe
+/// to invoke concurrently with other tasks' factories).
 using ImageFactory = std::function<Result<zelf::Image>()>;
 
 /// One unit of batch work: an input binary plus optional per-task options.
@@ -73,7 +73,7 @@ struct BatchStats {
   StagePercentiles item_total;   ///< materialize + full rewrite per item
 
   double wall_ms = 0;  ///< whole-batch wall-clock time
-  std::size_t jobs = 0;  ///< worker threads actually used
+  std::size_t jobs = 0;  ///< threads actually used, the calling thread included
 };
 
 /// One task's outcome, in task-submission order.

@@ -1,51 +1,14 @@
 #include "batch/worker_pool.h"
 
 #include <algorithm>
+#include <atomic>
+#include <system_error>
+#include <thread>
+#include <vector>
+
+#include "support/log.h"
 
 namespace zipr::batch {
-
-WorkerPool::WorkerPool(std::size_t workers, std::size_t queue_capacity)
-    : queue_(queue_capacity != 0
-                 ? queue_capacity
-                 : 2 * std::max<std::size_t>(
-                           1, workers != 0 ? workers : std::thread::hardware_concurrency())) {
-  std::size_t n = workers != 0 ? workers : std::max(1u, std::thread::hardware_concurrency());
-  threads_.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) threads_.emplace_back([this] { run_worker(); });
-}
-
-WorkerPool::~WorkerPool() { shutdown(); }
-
-bool WorkerPool::submit(std::function<void()> task) {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    ++in_flight_;
-  }
-  if (queue_.push(std::move(task))) return true;
-  // Queue already closed: roll the accounting back so wait_idle() holds.
-  std::lock_guard<std::mutex> lock(mu_);
-  if (--in_flight_ == 0) idle_.notify_all();
-  return false;
-}
-
-void WorkerPool::wait_idle() {
-  std::unique_lock<std::mutex> lock(mu_);
-  idle_.wait(lock, [&] { return in_flight_ == 0; });
-}
-
-void WorkerPool::shutdown() {
-  queue_.close();
-  std::lock_guard<std::mutex> lock(shutdown_mu_);
-  threads_.clear();  // jthread dtor joins
-}
-
-void WorkerPool::run_worker() {
-  while (auto task = queue_.pop()) {
-    (*task)();
-    std::lock_guard<std::mutex> lock(mu_);
-    if (--in_flight_ == 0) idle_.notify_all();
-  }
-}
 
 std::size_t effective_jobs(int requested, std::size_t tasks) {
   std::size_t jobs = requested > 0 ? static_cast<std::size_t>(requested)
@@ -54,14 +17,21 @@ std::size_t effective_jobs(int requested, std::size_t tasks) {
 }
 
 void parallel_for(int jobs, std::size_t n, const std::function<void(std::size_t)>& fn) {
-  std::size_t workers = effective_jobs(jobs, n);
-  if (workers <= 1) {
-    for (std::size_t i = 0; i < n; ++i) fn(i);
-    return;
+  std::atomic<std::size_t> next{0};
+  auto worker = [&] {
+    for (std::size_t i = next++; i < n; i = next++) fn(i);
+  };
+  const std::size_t helpers = effective_jobs(jobs, n) - 1;
+  std::vector<std::jthread> threads;  // joined on every way out
+  threads.reserve(helpers);
+  try {
+    for (std::size_t t = 0; t < helpers; ++t) threads.emplace_back(worker);
+  } catch (const std::system_error& e) {
+    // Out of threads: the ones already running share every index.
+    ZIPR_WARN << "parallel_for: started " << threads.size() + 1 << " of " << helpers + 1
+              << " threads: " << e.what();
   }
-  WorkerPool pool(workers);
-  for (std::size_t i = 0; i < n; ++i) pool.submit([&fn, i] { fn(i); });
-  pool.wait_idle();
+  worker();
 }
 
 }  // namespace zipr::batch

@@ -1,66 +1,26 @@
-// A fixed-size worker pool over the bounded task queue.
+// The one way the project runs work in parallel.
 //
-// Workers are std::jthreads that pop std::function tasks until the queue
-// closes. submit() applies backpressure (blocks while the queue is full);
-// wait_idle() blocks until every submitted task has finished, so a batch
-// driver can reuse one pool across rounds. The pool joins on destruction.
+// parallel_for runs fn(0..n-1) on the calling thread plus jobs - 1
+// std::jthread helpers, each claiming the next index from one shared atomic
+// counter until none are left. There is no queue and no long-lived pool:
+// the helpers are started per call and joined before it returns.
 #pragma once
 
-#include <condition_variable>
 #include <cstddef>
 #include <functional>
-#include <mutex>
-#include <thread>
-#include <vector>
-
-#include "batch/task_queue.h"
 
 namespace zipr::batch {
-
-class WorkerPool {
- public:
-  /// `workers` == 0 means std::thread::hardware_concurrency() (min 1).
-  /// `queue_capacity` == 0 defaults to 2x the worker count.
-  explicit WorkerPool(std::size_t workers, std::size_t queue_capacity = 0);
-  ~WorkerPool();
-
-  WorkerPool(const WorkerPool&) = delete;
-  WorkerPool& operator=(const WorkerPool&) = delete;
-
-  /// Enqueue a task; blocks while the queue is full. Returns false if the
-  /// pool has been shut down.
-  bool submit(std::function<void()> task);
-
-  /// Block until every task submitted so far has completed.
-  void wait_idle();
-
-  /// Close the queue and join all workers. Idempotent AND safe to call
-  /// concurrently (the serve lifecycle can race an explicit close()
-  /// against the destructor): joining is serialized on its own mutex.
-  void shutdown();
-
-  std::size_t worker_count() const { return threads_.size(); }
-
- private:
-  void run_worker();
-
-  TaskQueue<std::function<void()>> queue_;
-  std::mutex shutdown_mu_;  ///< serializes concurrent shutdown() calls
-  std::vector<std::jthread> threads_;
-
-  std::mutex mu_;
-  std::condition_variable idle_;
-  std::size_t in_flight_ = 0;  // submitted but not yet finished
-};
 
 /// Resolved worker count for a requested job count: n <= 0 means "use the
 /// hardware", otherwise n, capped at `tasks` when the batch is smaller.
 std::size_t effective_jobs(int requested, std::size_t tasks);
 
-/// Run fn(0..n-1) across `jobs` workers and block until all complete.
-/// jobs <= 1 runs inline on the calling thread (no pool, identical order).
-/// Each index is invoked exactly once; fn must handle its own synchronization
-/// for any shared state beyond per-index slots.
+/// Run fn(0..n-1) on the calling thread plus effective_jobs(jobs, n) - 1
+/// helper threads and block until all complete. jobs <= 1 is the plain
+/// in-order loop on the calling thread. Each index is invoked exactly once,
+/// also when the system cannot start every helper (the shortfall is logged
+/// and the threads that did start share the work). fn must handle its own
+/// synchronization for any shared state beyond per-index slots.
 void parallel_for(int jobs, std::size_t n, const std::function<void(std::size_t)>& fn);
 
 }  // namespace zipr::batch

@@ -19,7 +19,7 @@
 // loop -- so the multi-shard farm (src/farm) can run many streams, each
 // on its own persistent executor, and merge them deterministically at
 // sync epochs. `fuzz()` below is a single-stream campaign whose task
-// execution fans out over a worker pool.
+// execution fans out over batch::parallel_for.
 #pragma once
 
 #include <array>
@@ -140,7 +140,7 @@ void recompute_favored(std::vector<CorpusEntry>& corpus);
 
 /// One campaign stream: corpus + virgin map + deduped crash log + the
 /// deterministic plan/execute/merge round loop. All methods are serial;
-/// `fuzz()` parallelizes by executing a round's tasks on a worker pool,
+/// `fuzz()` parallelizes by executing a round's tasks on parallel_for,
 /// the farm by running whole streams on per-shard executors. Determinism
 /// contract: every observable result is a pure function of (image bytes,
 /// adopted state, opts.seed, guest seed) -- never of which executor ran

@@ -27,9 +27,7 @@ const char* source_name(Source s) {
 
 ServeEngine::ServeEngine(ServeOptions options)
     : options_(options),
-      cache_(options.cache_bytes),
-      pool_(std::make_unique<batch::WorkerPool>(
-          batch::effective_jobs(options.jobs, /*tasks=*/SIZE_MAX))) {
+      cache_(options.cache_bytes) {
   if (!options_.cache_file.empty()) {
     // A broken persistence path degrades to a memory-only cache: the
     // service stays correct (and up) either way.
@@ -38,15 +36,6 @@ ServeEngine::ServeEngine(ServeOptions options)
       ZIPR_WARN << "serve: " << attached.error().message << "; running memory-only";
     }
   }
-}
-
-ServeEngine::~ServeEngine() { close(); }
-
-void ServeEngine::close() {
-  closed_.store(true, std::memory_order_release);
-  // WorkerPool::shutdown drains queued tasks before joining, so every
-  // accepted submit() still resolves its future.
-  pool_->shutdown();
 }
 
 void ServeEngine::clear_cache() { cache_.clear(); }
@@ -134,8 +123,8 @@ Result<ServeResponse> ServeEngine::handle(ByteView input, const RewriteOptions& 
 
   // 3. Cold path. Failures return here WITHOUT touching the cache: caching
   //    an error artifact would poison every retry of this key. rewrite()
-  //    runs through this thread's workspace, so repeated cold misses on a
-  //    worker recycle the pipeline's transient tables (never the output).
+  //    runs through this thread's workspace, so repeated cold misses on one
+  //    thread recycle the pipeline's transient tables (never the output).
   auto rewritten = rewrite(*image, options);
   if (!rewritten.ok()) return fail(rewritten.error());
 
@@ -156,28 +145,6 @@ Result<ServeResponse> ServeEngine::handle(ByteView input, const RewriteOptions& 
     ++stats_.cold;
   }
   return resp;
-}
-
-std::future<Result<ServeResponse>> ServeEngine::submit(Bytes input, RewriteOptions options) {
-  auto promise = std::make_shared<std::promise<Result<ServeResponse>>>();
-  std::future<Result<ServeResponse>> future = promise->get_future();
-
-  auto reject = [&] {
-    {
-      std::lock_guard<std::mutex> lock(stats_mu_);
-      ++stats_.rejected_closed;
-    }
-    promise->set_value(Error::unsupported("serve engine is closed"));
-    return std::move(future);
-  };
-  if (closed_.load(std::memory_order_acquire)) return reject();
-
-  bool accepted = pool_->submit(
-      [this, promise, input = std::move(input), options = std::move(options)] {
-        promise->set_value(handle(input, options));
-      });
-  if (!accepted) return reject();
-  return future;
 }
 
 ServeStats ServeEngine::stats() const {

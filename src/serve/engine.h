@@ -1,9 +1,8 @@
 // ServeEngine: the rewriter as a long-running service.
 //
-// One engine owns the artifact cache and a batch::WorkerPool; requests
-// enter either synchronously (handle(), on the calling thread -- the
-// deterministic reference path) or asynchronously (submit(), returning a
-// future resolved by a pool worker). Request flow:
+// One engine owns the artifact cache; requests enter through handle(), on
+// the calling thread. handle() is thread-safe, so the socket server calls
+// it from every acceptor at once. Request flow:
 //
 //   digest(input x canonical options) --> cache hit?   O(memcmp + copy)
 //                                     --> delta hit?   O(page diff)
@@ -12,15 +11,10 @@
 // Failure paths never touch the cache: a malformed input or failing
 // transform yields an error response and leaves the cache exactly as it
 // was, so a retry after a transient condition re-runs cold (tested).
-// close() stops admission and drains in-flight jobs; the destructor does
-// the same, so futures handed out are always eventually resolved.
 #pragma once
 
-#include <atomic>
-#include <future>
-#include <memory>
+#include <mutex>
 
-#include "batch/worker_pool.h"
 #include "serve/cache.h"
 #include "serve/delta.h"
 #include "zipr/zipr.h"
@@ -28,10 +22,8 @@
 namespace zipr::serve {
 
 struct ServeOptions {
-  /// Pool workers for submit(), and the number of connections
-  /// serve_on_socket() serves at once; <= 0 means hardware concurrency.
-  /// The pool is built with the engine, so a socket-only daemon also holds
-  /// this many idle pool threads.
+  /// Connections serve_on_socket() serves at once; <= 0 means hardware
+  /// concurrency.
   int jobs = 0;
   /// Artifact-cache budget (input + output bytes across entries).
   std::size_t cache_bytes = std::size_t{64} << 20;
@@ -78,32 +70,22 @@ struct ServeStats {
   std::uint64_t delta_hits = 0;
   std::uint64_t delta_fallbacks = 0;  ///< candidates probed, all refused
   std::uint64_t failures = 0;
-  std::uint64_t rejected_closed = 0;  ///< submits after close()
   CacheStats cache;
 };
 
 class ServeEngine {
  public:
   explicit ServeEngine(ServeOptions options = {});
-  ~ServeEngine();
 
   ServeEngine(const ServeEngine&) = delete;
   ServeEngine& operator=(const ServeEngine&) = delete;
 
-  /// Serve one request on the calling thread.
+  /// Serve one request on the calling thread; safe to call concurrently.
   Result<ServeResponse> handle(ByteView input, const RewriteOptions& options);
-
-  /// Enqueue a request on the pool. The future always resolves: with the
-  /// response, the rewrite error, or an "engine closed" error when the
-  /// engine shut down before the job could be accepted.
-  std::future<Result<ServeResponse>> submit(Bytes input, RewriteOptions options);
-
-  /// Stop admitting work and drain in-flight jobs (idempotent).
-  void close();
 
   /// Drop every in-memory cache entry (the persistence file, if any, is
   /// untouched). Benchmarks use this to re-run the cold path on a warm
-  /// process -- with the worker threads' workspaces still warm.
+  /// process -- with the serving threads' workspaces still warm.
   void clear_cache();
 
   ServeStats stats() const;
@@ -112,8 +94,6 @@ class ServeEngine {
  private:
   ServeOptions options_;
   ArtifactCache cache_;
-  std::atomic<bool> closed_{false};
-  std::unique_ptr<batch::WorkerPool> pool_;
 
   mutable std::mutex stats_mu_;
   ServeStats stats_;

@@ -11,9 +11,6 @@
 #include <exception>
 #include <mutex>
 #include <optional>
-#include <system_error>
-#include <thread>
-#include <vector>
 
 #include "batch/worker_pool.h"
 #include "support/log.h"
@@ -170,6 +167,11 @@ Status serve_connection(ServeEngine& engine, int fd, std::uint64_t max_request_b
 
 }  // namespace
 
+std::size_t acceptor_count(int jobs, long max_requests) {
+  return batch::effective_jobs(
+      jobs, max_requests < 0 ? SIZE_MAX : static_cast<std::size_t>(max_requests));
+}
+
 Status serve_on_socket(ServeEngine& engine, const SocketServerOptions& options) {
   sockaddr_un addr;
   ZIPR_TRY(fill_sockaddr(options.path, &addr));
@@ -189,7 +191,7 @@ Status serve_on_socket(ServeEngine& engine, const SocketServerOptions& options) 
   std::atomic<long> tickets{options.max_requests};
   std::mutex error_mu;
   Status first_error;
-  auto acceptor = [&] {
+  auto acceptor = [&](std::size_t) {
     while (options.max_requests < 0 || tickets.fetch_sub(1) > 0) {
       int fd;
       do fd = ::accept(listen_fd, nullptr, nullptr);
@@ -218,19 +220,11 @@ Status serve_on_socket(ServeEngine& engine, const SocketServerOptions& options) 
       }
     }
   };
-  const std::size_t acceptors = batch::effective_jobs(
-      engine.options().jobs,
-      options.max_requests < 0 ? SIZE_MAX : static_cast<std::size_t>(options.max_requests));
-  std::vector<std::thread> others;
-  try {
-    for (std::size_t i = 1; i < acceptors; ++i) others.emplace_back(acceptor);
-  } catch (const std::system_error& e) {
-    // Out of threads: serve with the acceptors already running.
-    ZIPR_WARN << "serve: started " << others.size() + 1 << " of " << acceptors
-              << " acceptors: " << e.what();
-  }
-  acceptor();
-  for (auto& t : others) t.join();
+  // One parallel_for index per acceptor, so each runs on its own thread
+  // (the calling thread is one). A thread only picks up a second index
+  // after its loop has ended: the tickets are gone or the socket failed.
+  batch::parallel_for(engine.options().jobs,
+                      acceptor_count(engine.options().jobs, options.max_requests), acceptor);
   if (!first_error.ok()) return first_error;
   ::unlink(options.path.c_str());
   return {};

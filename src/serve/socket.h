@@ -16,14 +16,14 @@
 //
 // Malformed frames, oversized lengths, short reads and peers that hang up
 // before the reply produce checked errors on both ends, and the server
-// keeps serving. Connections are served concurrently: up to
-// effective_jobs(ServeOptions::jobs) threads (the calling thread is one)
-// each accept on the shared listening socket and serve what they accept,
-// and the kernel listen backlog is the admission queue. A client gets
-// kConnectionDeadline from accept() to deliver the frame header, and the
-// body's announced size at kMinRequestRate on top of that to deliver the
-// rest (every read is bounded by the time left, so trickling bytes does
-// not extend it): a 1 GiB frame, the max_request_bytes default, gets 18 s.
+// keeps serving. Connections are served concurrently: acceptor_count()
+// threads (the calling thread is one) each accept on the shared listening
+// socket and serve what they accept, and the kernel listen backlog is the
+// admission queue. A client gets kConnectionDeadline from accept() to
+// deliver the frame header, and the body's announced size at
+// kMinRequestRate on top of that to deliver the rest (every read is
+// bounded by the time left, so trickling bytes does not extend it): a
+// 1 GiB frame, the max_request_bytes default, gets 18 s.
 // The engine's work has no bound, and each write of the reply may block
 // for at most kConnectionDeadline. A client that connects and sends
 // nothing, or stops reading its reply, therefore holds one acceptor for
@@ -58,9 +58,13 @@ struct SocketServerOptions {
   std::uint64_t max_request_bytes = std::uint64_t{1} << 30;
 };
 
-/// Bind `options.path` and serve requests against `engine` on the calling
-/// thread plus effective_jobs(engine.options().jobs) - 1 more (never more
-/// acceptors than max_requests). Returns after max_requests exchanges, or
+/// Acceptor threads serve_on_socket() starts for ServeOptions::jobs and
+/// SocketServerOptions::max_requests: effective_jobs(jobs), never more
+/// than max_requests.
+std::size_t acceptor_count(int jobs, long max_requests);
+
+/// Bind `options.path` and serve requests against `engine` on
+/// acceptor_count() threads, the calling thread among them. Returns after max_requests exchanges, or
 /// on the first fatal socket error once every acceptor has stopped;
 /// per-connection failures are answered in-band and never abort the loop.
 Status serve_on_socket(ServeEngine& engine, const SocketServerOptions& options);

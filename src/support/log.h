@@ -5,7 +5,7 @@
 // failures are debuggable; those flow through LOG at kWarn level.
 //
 // The logger is THREAD-SAFE: the level is atomic, and sink dispatch is
-// serialized under a mutex so concurrent rewrites (src/batch worker pools)
+// serialized under a mutex so concurrent rewrites (batch::parallel_for)
 // never interleave bytes within a line or race a sink swap. Each message is
 // formatted into a private buffer first; only the final emit takes the lock.
 #pragma once

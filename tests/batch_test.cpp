@@ -1,18 +1,19 @@
-// Tests for the parallel batch-rewrite engine: the bounded task queue, the
-// worker pool, and BatchRewriter's determinism / fault-isolation / stats
-// contracts. The stress tests run valid and corrupt inputs concurrently and
-// are the tier-1 workload for the TSan configuration (`make tsan_smoke`).
+// Tests for the parallel batch-rewrite engine: parallel_for (the caller plus
+// jobs - 1 helpers over one atomic index) and BatchRewriter's determinism /
+// fault-isolation / stats contracts. The stress tests run valid and corrupt
+// inputs concurrently and are the tier-1 workload for the TSan configuration
+// (`make tsan_smoke`).
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
+#include <set>
 #include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "batch/batch_rewriter.h"
-#include "batch/task_queue.h"
 #include "batch/worker_pool.h"
 #include "testing_util.h"
 #include "zelf/io.h"
@@ -24,170 +25,11 @@ using batch::BatchOptions;
 using batch::BatchResult;
 using batch::BatchRewriter;
 using batch::BatchTask;
-using batch::TaskQueue;
-using batch::WorkerPool;
 using ::zipr::testing::must_assemble;
 
-// ---- TaskQueue ----
+// ---- parallel_for ----
 
-TEST(TaskQueue, FifoOrder) {
-  TaskQueue<int> q(8);
-  for (int i = 0; i < 5; ++i) EXPECT_TRUE(q.push(i));
-  for (int i = 0; i < 5; ++i) {
-    auto v = q.pop();
-    ASSERT_TRUE(v.has_value());
-    EXPECT_EQ(*v, i);
-  }
-}
-
-TEST(TaskQueue, CloseDrainsThenEndsStream) {
-  TaskQueue<int> q(4);
-  EXPECT_TRUE(q.push(1));
-  EXPECT_TRUE(q.push(2));
-  q.close();
-  EXPECT_FALSE(q.push(3));  // closed: new pushes fail
-  EXPECT_EQ(q.pop(), 1);    // pending items stay poppable
-  EXPECT_EQ(q.pop(), 2);
-  EXPECT_EQ(q.pop(), std::nullopt);  // drained: end of stream
-}
-
-TEST(TaskQueue, FullQueueAppliesBackpressure) {
-  TaskQueue<int> q(1);
-  ASSERT_TRUE(q.push(0));
-  std::atomic<bool> second_pushed{false};
-  std::jthread producer([&] {
-    EXPECT_TRUE(q.push(1));  // must block until the consumer pops
-    second_pushed = true;
-  });
-  // The producer cannot finish while the queue is full. (A sleep cannot
-  // prove blocking, but it makes a broken non-blocking push fail reliably.)
-  std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  EXPECT_FALSE(second_pushed.load());
-  EXPECT_EQ(q.pop(), 0);
-  EXPECT_EQ(q.pop(), 1);
-  producer.join();
-  EXPECT_TRUE(second_pushed.load());
-}
-
-TEST(TaskQueue, CloseWakesBlockedProducer) {
-  TaskQueue<int> q(1);
-  ASSERT_TRUE(q.push(0));
-  std::atomic<bool> push_returned{false};
-  std::jthread producer([&] {
-    EXPECT_FALSE(q.push(1));  // blocked on full queue, then woken by close
-    push_returned = true;
-  });
-  std::this_thread::sleep_for(std::chrono::milliseconds(10));
-  q.close();
-  producer.join();
-  EXPECT_TRUE(push_returned.load());
-}
-
-// ---- WorkerPool ----
-
-TEST(WorkerPool, RunsEverySubmittedTask) {
-  WorkerPool pool(4);
-  EXPECT_EQ(pool.worker_count(), 4u);
-  std::atomic<int> sum{0};
-  for (int i = 1; i <= 100; ++i) pool.submit([&sum, i] { sum += i; });
-  pool.wait_idle();
-  EXPECT_EQ(sum.load(), 5050);
-}
-
-TEST(WorkerPool, WaitIdleAllowsReuseAcrossRounds) {
-  WorkerPool pool(2);
-  std::atomic<int> count{0};
-  for (int round = 0; round < 3; ++round) {
-    for (int i = 0; i < 10; ++i) pool.submit([&count] { ++count; });
-    pool.wait_idle();
-    EXPECT_EQ(count.load(), (round + 1) * 10);
-  }
-}
-
-TEST(WorkerPool, SubmitAfterShutdownFails) {
-  WorkerPool pool(2);
-  pool.shutdown();
-  EXPECT_FALSE(pool.submit([] {}));
-  pool.wait_idle();  // the rejected submit must not leave in_flight stuck
-}
-
-// ---- shutdown edges (the serve engine's close() path leans on these) ----
-
-TEST(WorkerPool, ShutdownWakesMultipleBlockedProducers) {
-  // One slow worker, capacity-1 queue: several producers block inside
-  // submit() simultaneously; shutdown() must wake every one of them and
-  // each must observe the rejection (false), with wait_idle() consistent.
-  auto pool = std::make_unique<WorkerPool>(1, 1);
-  std::atomic<bool> release{false};
-  pool->submit([&] {
-    while (!release.load()) std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  });
-
-  constexpr int kProducers = 4;
-  std::atomic<int> accepted{0};
-  std::atomic<int> rejected{0};
-  std::vector<std::jthread> producers;
-  for (int i = 0; i < kProducers; ++i)
-    producers.emplace_back([&] {
-      if (pool->submit([] {}))
-        ++accepted;
-      else
-        ++rejected;
-    });
-
-  std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  release = true;   // let the slow task finish so shutdown can join
-  pool->shutdown();  // closes the queue: every blocked producer wakes
-  for (auto& t : producers) t.join();
-
-  // Producers that won a queue slot before close ran; the rest were
-  // rejected. Nobody is left blocked and the accounting balances.
-  EXPECT_EQ(accepted.load() + rejected.load(), kProducers);
-  pool->wait_idle();
-  pool.reset();  // second shutdown via destructor: idempotent
-}
-
-TEST(WorkerPool, ShutdownDrainsQueuedTasksBeforeJoining) {
-  // Tasks accepted before shutdown() must RUN, not be dropped: the serve
-  // engine's close() promises every accepted future resolves.
-  std::atomic<int> ran{0};
-  {
-    WorkerPool pool(1, 16);
-    std::atomic<bool> gate{false};
-    pool.submit([&] {
-      while (!gate.load()) std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    });
-    for (int i = 0; i < 10; ++i) pool.submit([&ran] { ++ran; });  // all queued
-    gate = true;
-    pool.shutdown();
-  }
-  EXPECT_EQ(ran.load(), 10) << "shutdown dropped accepted tasks";
-}
-
-TEST(WorkerPool, WaitIdleDuringShutdownReturns) {
-  WorkerPool pool(2);
-  for (int i = 0; i < 8; ++i)
-    pool.submit([] { std::this_thread::sleep_for(std::chrono::milliseconds(2)); });
-  std::jthread waiter([&] { pool.wait_idle(); });
-  pool.shutdown();  // drains the 8 tasks; wait_idle sees in_flight hit 0
-  waiter.join();
-  pool.wait_idle();  // and again after shutdown: immediate
-}
-
-TEST(WorkerPool, ConcurrentShutdownCallsAreSafe) {
-  for (int round = 0; round < 8; ++round) {
-    WorkerPool pool(2);
-    std::atomic<int> ran{0};
-    for (int i = 0; i < 4; ++i) pool.submit([&ran] { ++ran; });
-    std::vector<std::jthread> closers;
-    for (int i = 0; i < 4; ++i) closers.emplace_back([&] { pool.shutdown(); });
-    for (auto& t : closers) t.join();
-    EXPECT_EQ(ran.load(), 4);
-    EXPECT_FALSE(pool.submit([] {}));
-  }
-}
-
-TEST(WorkerPool, EffectiveJobsClampsToTaskCount) {
+TEST(ParallelFor, EffectiveJobsClampsToTaskCount) {
   EXPECT_EQ(batch::effective_jobs(8, 3), 3u);
   EXPECT_EQ(batch::effective_jobs(2, 100), 2u);
   EXPECT_EQ(batch::effective_jobs(4, 0), 1u);  // empty batch still sane
@@ -195,7 +37,7 @@ TEST(WorkerPool, EffectiveJobsClampsToTaskCount) {
   EXPECT_GE(batch::effective_jobs(-1, 100), 1u);
 }
 
-TEST(WorkerPool, ParallelForHitsEveryIndexOnce) {
+TEST(ParallelFor, HitsEveryIndexOnce) {
   for (int jobs : {1, 2, 4, 8}) {
     constexpr std::size_t kN = 64;
     std::vector<std::atomic<int>> hits(kN);
@@ -203,6 +45,39 @@ TEST(WorkerPool, ParallelForHitsEveryIndexOnce) {
     for (std::size_t i = 0; i < kN; ++i)
       EXPECT_EQ(hits[i].load(), 1) << "index " << i << " jobs " << jobs;
   }
+}
+
+TEST(ParallelFor, CallingThreadIsOneOfTheWorkers) {
+  const std::thread::id caller = std::this_thread::get_id();
+
+  // jobs = 1: the plain loop, in order, on the calling thread.
+  std::vector<std::size_t> order;
+  batch::parallel_for(1, 16, [&](std::size_t i) {
+    EXPECT_EQ(std::this_thread::get_id(), caller);
+    order.push_back(i);
+  });
+  ASSERT_EQ(order.size(), 16u);
+  for (std::size_t i = 0; i < order.size(); ++i) EXPECT_EQ(order[i], i);
+
+  // jobs = 4: the caller plus at most three helpers share the indices. A
+  // helper's index waits until the caller has run one, so the helpers hold
+  // at most three indices between them and the caller must claim the next
+  // (the deadline turns a caller that never joins in into a failure).
+  constexpr std::size_t kN = 64;
+  std::vector<std::thread::id> ran_on(kN);
+  std::vector<std::atomic<int>> hits(kN);
+  std::atomic<bool> caller_ran{false};
+  const auto give_up = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  batch::parallel_for(4, kN, [&](std::size_t i) {
+    ran_on[i] = std::this_thread::get_id();
+    ++hits[i];
+    if (ran_on[i] == caller) caller_ran = true;
+    while (!caller_ran && std::chrono::steady_clock::now() < give_up) std::this_thread::yield();
+  });
+  std::set<std::thread::id> threads(ran_on.begin(), ran_on.end());
+  EXPECT_LE(threads.size(), 4u);
+  EXPECT_TRUE(threads.count(caller)) << "the calling thread ran no index";
+  for (std::size_t i = 0; i < kN; ++i) EXPECT_EQ(hits[i].load(), 1) << "index " << i;
 }
 
 // ---- BatchRewriter ----
@@ -359,8 +234,8 @@ TEST(BatchRewriter, StatsPercentilesAreOrdered) {
 
 // ---- stress: valid and corrupt inputs concurrently ----
 //
-// The ASan/TSan workhorse: many rounds of mixed good/bad tasks on a wide
-// pool, verifying isolation and determinism every round.
+// The ASan/TSan workhorse: many rounds of mixed good/bad tasks on many
+// threads, verifying isolation and determinism every round.
 TEST(BatchRewriter, StressMixedCorpusUnderContention) {
   constexpr int kTasks = 24;
   constexpr int kRounds = 4;

@@ -269,10 +269,11 @@ TEST(LivenessTest, PreciseNeverClaimsDeadWhereLegacySaysDead) {
   for (BlockId b = 3; b < f.cfg.size(); ++b) {
     const auto& blk = f.cfg.block(b);
     if (blk.insns.empty() || blk.opaque) continue;
-    if (!flags_live_at(f.prog.db, blk.leader, f.text_end()))
+    if (!flags_live_at(f.prog.db, blk.leader, f.text_end())) {
       EXPECT_FALSE(flags_live(lv.live_in(b)))
           << "precise analysis claims flags live where the conservative "
              "walk already proved them dead (block " << b << ")";
+    }
   }
 }
 

@@ -10,7 +10,7 @@
 #include <chrono>
 #include <cstdio>
 #include <filesystem>
-#include <future>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -22,6 +22,7 @@
 #include <csignal>
 #include <cstring>
 
+#include "batch/worker_pool.h"
 #include "serve/cache.h"
 #include "serve/delta.h"
 #include "serve/engine.h"
@@ -674,14 +675,16 @@ TEST(ServeEngine, ColdThroughRecycledWorkspaceIsByteIdentical) {
   });
 }
 
-TEST(ServeEngine, SubmitStormOverRecycledWorkspacesMatchesSyncHandle) {
+TEST(ServeEngine, ConcurrentHandleStormOverRecycledWorkspacesMatchesSyncHandle) {
   // Digest differential, fresh vs recycled, under concurrency: references
   // come from a single-threaded engine; the storm engine then serves the
-  // same corpus repeatedly across jobs=4 workers, with clear_cache()
-  // between rounds so every round runs cold through the workers' RECYCLED
-  // per-thread workspaces. Part of the TSan workload (tsan_smoke).
+  // same corpus repeatedly from 4 threads calling handle() at once, with
+  // clear_cache() between rounds so every round runs cold through the
+  // threads' RECYCLED per-thread workspaces. Part of the TSan workload
+  // (tsan_smoke).
   constexpr int kVariants = 8;
   constexpr int kRounds = 3;
+  constexpr std::size_t kPerRound = 2 * kVariants;
   RewriteOptions opts;
 
   ServeOptions nodelta;
@@ -699,17 +702,15 @@ TEST(ServeEngine, SubmitStormOverRecycledWorkspacesMatchesSyncHandle) {
     }
   }
 
-  ServeOptions sopts = nodelta;
-  sopts.jobs = 4;
-  ServeEngine engine(sopts);
+  ServeEngine engine(nodelta);
   std::uint64_t total = 0;
   for (int round = 0; round < kRounds; ++round) {
-    std::vector<std::future<Result<ServeResponse>>> futures;
-    for (int rep = 0; rep < 2; ++rep)
-      for (int i = 0; i < kVariants; ++i)
-        futures.push_back(engine.submit(inputs[static_cast<std::size_t>(i)], opts));
-    for (std::size_t k = 0; k < futures.size(); ++k) {
-      auto r = futures[k].get();
+    std::vector<std::optional<Result<ServeResponse>>> replies(kPerRound);
+    batch::parallel_for(4, kPerRound, [&](std::size_t k) {
+      replies[k] = engine.handle(inputs[k % kVariants], opts);
+    });
+    for (std::size_t k = 0; k < kPerRound; ++k) {
+      const Result<ServeResponse>& r = *replies[k];
       ASSERT_TRUE(r.ok()) << r.error().message;
       EXPECT_EQ(r->output, reference[k % kVariants])
           << "round " << round << " request " << k << " diverged from sync handle()";
@@ -720,73 +721,10 @@ TEST(ServeEngine, SubmitStormOverRecycledWorkspacesMatchesSyncHandle) {
   auto stats = engine.stats();
   EXPECT_EQ(stats.requests, total);
   EXPECT_EQ(stats.failures, 0u);
-  // Every round must re-run at least the whole corpus cold.
+  // Every round must re-run at least the whole corpus cold, and with delta
+  // off every other request was served from the cache it populated.
   EXPECT_GE(stats.cold, static_cast<std::uint64_t>(kVariants * kRounds));
-}
-
-// ---- serve engine: async submits + close (satellite #4 companion) ----
-
-TEST(ServeEngine, ConcurrentSubmitsAllResolveAndAgree) {
-  Bytes input = assemble_bytes(kDataProgram);
-  RewriteOptions opts;
-  ServeOptions sopts;
-  sopts.jobs = 4;
-  ServeEngine engine(sopts);
-
-  constexpr int kJobs = 16;
-  std::vector<std::future<Result<ServeResponse>>> futures;
-  futures.reserve(kJobs);
-  for (int i = 0; i < kJobs; ++i) futures.push_back(engine.submit(input, opts));
-
-  Bytes reference = cold_reference(input, opts);
-  for (auto& f : futures) {
-    auto r = f.get();
-    ASSERT_TRUE(r.ok()) << r.error().message;
-    EXPECT_EQ(r->output, reference);
-  }
-  auto stats = engine.stats();
-  EXPECT_EQ(stats.requests, static_cast<std::uint64_t>(kJobs));
-  // Determinism means every response agrees; at least one ran cold and
-  // every non-cold request was served from the cache it populated.
-  EXPECT_GE(stats.cold, 1u);
-  EXPECT_EQ(stats.cold + stats.cache_hits, static_cast<std::uint64_t>(kJobs));
-}
-
-TEST(ServeEngine, CloseDrainsAcceptedJobsAndRejectsNewOnes) {
-  Bytes input = assemble_bytes(kDataProgram);
-  ServeOptions sopts;
-  sopts.jobs = 2;
-  ServeEngine engine(sopts);
-
-  std::vector<std::future<Result<ServeResponse>>> futures;
-  for (int i = 0; i < 8; ++i) futures.push_back(engine.submit(input, RewriteOptions{}));
-  engine.close();
-
-  // Every accepted future resolves (drained, not abandoned)...
-  for (auto& f : futures) {
-    ASSERT_EQ(f.wait_for(std::chrono::seconds(30)), std::future_status::ready)
-        << "close() abandoned an accepted job";
-    ASSERT_TRUE(f.get().ok());
-  }
-  // ...and post-close submits resolve immediately with a checked error.
-  auto rejected = engine.submit(input, RewriteOptions{});
-  auto r = rejected.get();
-  ASSERT_FALSE(r.ok());
-  EXPECT_NE(r.error().message.find("closed"), std::string::npos) << r.error().message;
-  EXPECT_GE(engine.stats().rejected_closed, 1u);
-}
-
-TEST(ServeEngine, ConcurrentCloseIsSafe) {
-  Bytes input = assemble_bytes(kDataProgram);
-  ServeOptions sopts;
-  sopts.jobs = 2;
-  auto engine = std::make_unique<ServeEngine>(sopts);
-  for (int i = 0; i < 4; ++i) (void)engine->submit(input, RewriteOptions{});
-
-  std::vector<std::thread> closers;
-  for (int i = 0; i < 4; ++i) closers.emplace_back([&] { engine->close(); });
-  for (auto& t : closers) t.join();
-  engine.reset();  // destructor close() after explicit close()s
+  EXPECT_EQ(stats.cold + stats.cache_hits, total);
 }
 
 // ---- socket front end ----

@@ -8,7 +8,7 @@
 //            [--pin-call-returns] [--naive-pins]
 //            [--stats] [--dump-ir=<file>] [--list-transforms]
 //
-// Batch mode (2+ inputs): rewrite a corpus on a worker pool; one failing
+// Batch mode (2+ inputs): rewrite a corpus on --jobs threads; one failing
 // binary is reported and exits nonzero at the end but never stops the rest.
 //   zipr-cli a.zelf b.zelf ... --out-dir=DIR [--jobs=N] [batch-safe flags]
 //
@@ -107,7 +107,7 @@ int run_serve(const zipr::cli::Args& args) {
   if (server.max_requests == 0) server.max_requests = -1;  // 0/absent = unbounded
 
   std::printf("serve: listening on %s (jobs %zu, cache %zu MiB, delta %s%s%s)\n",
-              socket_path->c_str(), batch::effective_jobs(sopts.jobs, SIZE_MAX),
+              socket_path->c_str(), serve::acceptor_count(sopts.jobs, server.max_requests),
               sopts.cache_bytes >> 20,
               sopts.enable_delta ? "on" : "off",
               sopts.cache_file.empty() ? "" : ", persist ",
@@ -362,7 +362,7 @@ int main(int argc, char** argv) {
         "                [--pin-call-returns] [--naive-pins] [--stats] [--dump-ir=<file>]\n"
         "                [--list-transforms]\n"
         "       zipr-cli <input.zelf>... --out-dir=<dir> [--jobs=N] [shared flags]\n"
-        "                (batch mode: rewrites all inputs on a worker pool)\n"
+        "                (batch mode: rewrites all inputs on --jobs threads)\n"
         "       zipr-cli fuzz <input.zelf> [--transform=cov|laf]... [--runs=N] [--jobs=N]\n"
         "                [--shards=N] [--seed=N] [--input=<seed file>]... [--crash-dir=<dir>]\n"
         "                [--cov-prune|--no-cov-prune]\n"
