@@ -55,31 +55,29 @@ bool Machine::eval_cond(Cond c) const {
   return false;
 }
 
-std::optional<Fault> Machine::push64(std::uint64_t v) {
+Fault Machine::push64(std::uint64_t v) {
   std::uint64_t& sp = regs_[isa::kSpReg];
   if (sp < zelf::layout::kStackTop - zelf::layout::kStackSize + 8)
     return Fault::kStackOverflow;
   sp -= 8;
-  if (!mem_.write_u64(sp, v).ok()) return Fault::kBadAccess;
-  return std::nullopt;
+  return mem_.write_u64(sp, v) ? Fault::kNone : Fault::kBadAccess;
 }
 
-Result<std::uint64_t> Machine::pop64() {
+std::optional<std::uint64_t> Machine::pop64() {
   std::uint64_t& sp = regs_[isa::kSpReg];
   auto v = mem_.read_u64(sp);
-  if (!v.ok()) return v.error();
-  sp += 8;
-  return *v;
+  if (v) sp += 8;
+  return v;
 }
 
-std::optional<Fault> Machine::do_syscall() {
+Fault Machine::do_syscall() {
   ++stats_.syscalls;
   std::uint64_t no = regs_[0];
   switch (no) {
     case kSysTerminate:
       exited_ = true;
       exit_status_ = static_cast<std::int64_t>(regs_[1]);
-      return std::nullopt;
+      return Fault::kNone;
     case kSysTransmit: {
       std::uint64_t buf = regs_[2], count = regs_[3];
       if (output_.size() + count > limits_.max_output) return Fault::kBadSyscall;
@@ -87,7 +85,7 @@ std::optional<Fault> Machine::do_syscall() {
       if (!data.ok()) return Fault::kBadAccess;
       put_bytes(output_, *data);
       regs_[0] = count;
-      return std::nullopt;
+      return Fault::kNone;
     }
     case kSysReceive: {
       std::uint64_t buf = regs_[2], count = regs_[3];
@@ -99,11 +97,11 @@ std::optional<Fault> Machine::do_syscall() {
         input_pos_ += n;
       }
       regs_[0] = n;
-      return std::nullopt;
+      return Fault::kNone;
     }
     case kSysFdwait:
       regs_[0] = 0;
-      return std::nullopt;
+      return Fault::kNone;
     case kSysAllocate: {
       std::uint64_t size = regs_[1];
       if (size == 0 || size > (64ull << 20)) return Fault::kBadSyscall;
@@ -114,11 +112,11 @@ std::optional<Fault> Machine::do_syscall() {
       mem_.map_anon(base, mapped, kPermRead | kPermWrite);
       heap_next_ += mapped;
       regs_[0] = base;
-      return std::nullopt;
+      return Fault::kNone;
     }
     case kSysDeallocate:
       regs_[0] = 0;
-      return std::nullopt;
+      return Fault::kNone;
     case kSysRandom: {
       std::uint64_t buf = regs_[1], count = regs_[2];
       Bytes data;
@@ -127,14 +125,14 @@ std::optional<Fault> Machine::do_syscall() {
         data.push_back(static_cast<Byte>(rng_.next() & 0xff));
       if (!mem_.write_block(buf, data).ok()) return Fault::kBadAccess;
       regs_[0] = count;
-      return std::nullopt;
+      return Fault::kNone;
     }
     default:
       return Fault::kBadSyscall;
   }
 }
 
-std::optional<Fault> Machine::dispatch(const Insn& in) {
+Fault Machine::dispatch(const Insn& in) {
   const std::uint64_t next = pc_ + in.length;
   auto set_zs = [&](std::uint64_t r) {
     flags_.zf = r == 0;
@@ -146,57 +144,55 @@ std::optional<Fault> Machine::dispatch(const Insn& in) {
       break;
     case Op::kHlt:
       return Fault::kHalt;
-    case Op::kSyscall: {
-      auto f = do_syscall();
-      if (f) return f;
+    case Op::kSyscall:
+      if (Fault f = do_syscall(); f != Fault::kNone) return f;
       break;
-    }
 
     case Op::kJmp:
       pc_ = in.target(pc_);
-      return std::nullopt;
+      return Fault::kNone;
     case Op::kJcc:
       if (eval_cond(in.cond)) {
         pc_ = in.target(pc_);
-        return std::nullopt;
+        return Fault::kNone;
       }
       break;
     case Op::kCall: {
-      if (auto f = push64(next)) return f;
+      if (Fault f = push64(next); f != Fault::kNone) return f;
       pc_ = in.target(pc_);
-      return std::nullopt;
+      return Fault::kNone;
     }
     case Op::kCallR: {
-      if (auto f = push64(next)) return f;
+      if (Fault f = push64(next); f != Fault::kNone) return f;
       pc_ = regs_[in.ra];
-      return std::nullopt;
+      return Fault::kNone;
     }
     case Op::kJmpR:
       pc_ = regs_[in.ra];
-      return std::nullopt;
+      return Fault::kNone;
     case Op::kJmpT: {
       std::uint64_t slot = static_cast<std::uint64_t>(in.imm) + regs_[in.ra] * 8;
       auto t = mem_.read_u64(slot);
-      if (!t.ok()) return Fault::kBadAccess;
+      if (!t) return Fault::kBadAccess;
       pc_ = *t;
-      return std::nullopt;
+      return Fault::kNone;
     }
     case Op::kRet: {
       auto t = pop64();
-      if (!t.ok()) return Fault::kBadAccess;
+      if (!t) return Fault::kBadAccess;
       pc_ = *t;
-      return std::nullopt;
+      return Fault::kNone;
     }
 
     case Op::kPush:
-      if (auto f = push64(regs_[in.ra])) return f;
+      if (Fault f = push64(regs_[in.ra]); f != Fault::kNone) return f;
       break;
     case Op::kPushI:
-      if (auto f = push64(static_cast<std::uint64_t>(in.imm))) return f;
+      if (Fault f = push64(static_cast<std::uint64_t>(in.imm)); f != Fault::kNone) return f;
       break;
     case Op::kPop: {
       auto v = pop64();
-      if (!v.ok()) return Fault::kBadAccess;
+      if (!v) return Fault::kBadAccess;
       regs_[in.ra] = *v;
       break;
     }
@@ -213,30 +209,29 @@ std::optional<Fault> Machine::dispatch(const Insn& in) {
       break;
     case Op::kLoadPc: {
       auto v = mem_.read_u64(in.pc_ref(pc_));
-      if (!v.ok()) return Fault::kBadAccess;
+      if (!v) return Fault::kBadAccess;
       regs_[in.ra] = *v;
       break;
     }
     case Op::kLoad: {
       auto v = mem_.read_u64(regs_[in.rb] + static_cast<std::uint64_t>(in.imm));
-      if (!v.ok()) return Fault::kBadAccess;
+      if (!v) return Fault::kBadAccess;
       regs_[in.ra] = *v;
       break;
     }
     case Op::kStore:
-      if (!mem_.write_u64(regs_[in.ra] + static_cast<std::uint64_t>(in.imm), regs_[in.rb]).ok())
+      if (!mem_.write_u64(regs_[in.ra] + static_cast<std::uint64_t>(in.imm), regs_[in.rb]))
         return Fault::kBadAccess;
       break;
     case Op::kLoad8: {
       auto v = mem_.read_u8(regs_[in.rb] + static_cast<std::uint64_t>(in.imm));
-      if (!v.ok()) return Fault::kBadAccess;
+      if (!v) return Fault::kBadAccess;
       regs_[in.ra] = *v;
       break;
     }
     case Op::kStore8:
       if (!mem_.write_u8(regs_[in.ra] + static_cast<std::uint64_t>(in.imm),
-                         static_cast<std::uint8_t>(regs_[in.rb] & 0xff))
-               .ok())
+                         static_cast<std::uint8_t>(regs_[in.rb] & 0xff)))
         return Fault::kBadAccess;
       break;
 
@@ -299,10 +294,10 @@ std::optional<Fault> Machine::dispatch(const Insn& in) {
   }
 
   pc_ = next;
-  return std::nullopt;
+  return Fault::kNone;
 }
 
-std::optional<Fault> Machine::step() {
+Fault Machine::step() {
   auto bytes = mem_.fetch(pc_, isa::kMaxInsnLen);
   if (!bytes.ok()) return Fault::kBadAccess;
   Insn in;
@@ -367,9 +362,9 @@ void Machine::run_slow(RunResult& r) {
       return;
     }
     const std::uint64_t pc_before = pc_;
-    auto fault = step();
-    if (fault) {
-      r.fault = *fault;
+    const Fault fault = step();
+    if (fault != Fault::kNone) {
+      r.fault = fault;
       r.fault_pc = pc_before;
       return;
     }
@@ -396,7 +391,7 @@ void Machine::run_fast(RunResult& r) {
       if (page != nullptr) mem_.touch_page(base);
     }
     const std::uint64_t pc_before = pc_;
-    std::optional<Fault> fault;
+    Fault fault;
     if (page == nullptr) {
       fault = step();      // unmapped / non-exec pc: fault via the slow path
       page_base = kNoPage;  // pc may have moved into freshly visible code
@@ -417,8 +412,8 @@ void Machine::run_fast(RunResult& r) {
           break;
       }
     }
-    if (fault) {
-      r.fault = *fault;
+    if (fault != Fault::kNone) {
+      r.fault = fault;
       r.fault_pc = pc_before;
       return;
     }

@@ -156,9 +156,12 @@ class Machine {
     std::vector<Slot> slots;  ///< kPageSize entries, indexed by page offset
   };
 
-  std::optional<Fault> step();
+  /// The per-instruction calls return Fault::kNone on success: a plain
+  /// enum comes back in a register, so retiring an instruction never
+  /// reloads its result from the stack.
+  Fault step();
   /// Everything after fetch+decode: stats are the caller's job.
-  std::optional<Fault> dispatch(const isa::Insn& in);
+  Fault dispatch(const isa::Insn& in);
   void run_slow(RunResult& r);
   void run_fast(RunResult& r);
   /// Decode table for the exec page at `base` (built on first use),
@@ -166,9 +169,9 @@ class Machine {
   const CodePage* code_page(std::uint64_t base);
   void count_pc(std::uint64_t pc);
   bool eval_cond(isa::Cond c) const;
-  std::optional<Fault> do_syscall();
-  std::optional<Fault> push64(std::uint64_t v);
-  Result<std::uint64_t> pop64();
+  Fault do_syscall();
+  Fault push64(std::uint64_t v);
+  std::optional<std::uint64_t> pop64();
 
   static constexpr std::uint64_t kNoPage = ~std::uint64_t{0};
 

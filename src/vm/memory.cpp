@@ -42,21 +42,26 @@ Memory::Page& Memory::ensure_page(std::uint64_t page_base, std::uint8_t perms) {
   auto [it, inserted] = pages_.try_emplace(page_base);
   Page& p = it->second;
   if (inserted) {
-    p.data = std::make_unique<Byte[]>(kPageSize);
-    std::memset(p.data.get(), 0, kPageSize);
-    p.perms = perms;
+    p.data = std::make_unique<Byte[]>(kPageSize);  // value-initialized: zeroed
+    std::uint8_t lazy = 0;
+    lazy_perms(page_base, lazy);  // a lazy region may already cover it
+    p.perms = perms | lazy;
   } else {
     p.perms |= perms;
   }
-  mark_dirty(page_base);  // new mapping or widened permissions
+  mark_dirty(p, page_base);  // new page or widened permissions
   if (p.perms & kPermExec) note_code_change();
   return p;
 }
 
-void Memory::mark_dirty(std::uint64_t page_base) {
-  if (!tracking_ || page_base == last_dirty_) return;
-  dirty_.insert(page_base);
-  last_dirty_ = page_base;
+bool Memory::lazy_perms(std::uint64_t page_base, std::uint8_t& perms) const {
+  bool covered = false;
+  for (const LazyRegion& r : lazy_) {
+    if (page_base < r.lo || page_base >= r.end) continue;
+    perms |= r.perms;
+    covered = true;
+  }
+  return covered;
 }
 
 void Memory::map_segment(const zelf::Segment& seg) {
@@ -77,98 +82,69 @@ void Memory::map_segment(const zelf::Segment& seg) {
 }
 
 void Memory::map_anon(std::uint64_t vaddr, std::uint64_t size, std::uint8_t perms) {
-  for (std::uint64_t a = vaddr & kPageMask; a < vaddr + size; a += kPageSize)
-    ensure_page(a, perms);
+  const std::uint64_t lo = vaddr & kPageMask, end = vaddr + size;
+  if (perms & kPermExec) {
+    for (std::uint64_t a = lo; a < end; a += kPageSize) ensure_page(a, perms);
+    return;
+  }
+  // Pages that already exist widen now; the rest are created on demand.
+  for (auto& [base, page] : pages_)
+    if (base >= lo && base < end) ensure_page(base, perms);
+  // Grow the last region instead of appending when the mapping extends it
+  // (allocate() hands out adjacent ranges) and the snapshot does not hold it.
+  if (lazy_.size() > frozen_lazy_ && lazy_.back().end == lo &&
+      lazy_.back().perms == perms)
+    lazy_.back().end = end;
+  else if (lo < end)
+    lazy_.push_back({lo, end, perms});
 }
 
-bool Memory::is_mapped(std::uint64_t addr) const { return lookup(addr) != nullptr; }
+bool Memory::is_mapped(std::uint64_t addr) const {
+  std::uint8_t perms = 0;
+  return lookup(addr) != nullptr || lazy_perms(addr & kPageMask, perms);
+}
 
 void Memory::flush_tlb() const {
   tlb_[0] = TlbEntry{};
   tlb_[1] = TlbEntry{};
 }
 
-const Memory::Page* Memory::lookup(std::uint64_t addr) const {
-  const std::uint64_t base = addr & kPageMask;
-  TlbEntry& e = tlb_[(base / kPageSize) & 1];
-  if (e.base == base) return e.page;
-  auto it = pages_.find(base);
+Memory::Page* Memory::lookup_miss(std::uint64_t page_base) const {
+  auto it = pages_.find(page_base);
   if (it == pages_.end()) return nullptr;  // negative results are not cached
-  e.base = base;
-  e.page = &it->second;
+  TlbEntry& e = tlb_[(page_base / kPageSize) & 1];
+  e.base = page_base;
+  e.page = const_cast<Page*>(&it->second);
   return e.page;
 }
 
-Memory::Page* Memory::page_at(std::uint64_t addr) {
-  return const_cast<Page*>(lookup(addr));
+Memory::Page* Memory::create_lazy(std::uint64_t page_base) {
+  std::uint8_t perms = 0;
+  if (!lazy_perms(page_base, perms)) return nullptr;
+  ensure_page(page_base, perms);
+  return lookup(page_base);
 }
 
-const Memory::Page* Memory::page_at(std::uint64_t addr) const { return lookup(addr); }
-
-void Memory::touch(std::uint64_t addr) {
-  const std::uint64_t base = addr & kPageMask;
-  if (base == last_touched_) return;
-  touched_[base] = true;
-  last_touched_ = base;
-}
-
-Result<std::uint8_t> Memory::read_u8(std::uint64_t addr) {
-  const Page* p = lookup(addr);
-  if (!p) return Error::invalid_argument("read unmapped " + hex_addr(addr));
-  if (!(p->perms & kPermRead)) return Error::invalid_argument("read !R " + hex_addr(addr));
-  touch(addr);
-  return p->data[addr & (kPageSize - 1)];
-}
-
-Result<std::uint64_t> Memory::read_u64(std::uint64_t addr) {
-  const std::size_t off = static_cast<std::size_t>(addr & (kPageSize - 1));
-  if (off <= kPageSize - 8) {  // within one page: single lookup + memcpy
-    const Page* p = lookup(addr);
-    if (!p) return Error::invalid_argument("read unmapped " + hex_addr(addr));
-    if (!(p->perms & kPermRead)) return Error::invalid_argument("read !R " + hex_addr(addr));
-    touch(addr);
-    std::uint64_t v;
-    std::memcpy(&v, p->data.get() + off, 8);
-    return v;
-  }
-  std::uint64_t v = 0;  // page-crossing: byte loop keeps first-fault addressing
+std::optional<std::uint64_t> Memory::read_u64_split(std::uint64_t addr) {
+  std::uint64_t v = 0;
   for (int i = 0; i < 8; ++i) {
-    ZIPR_ASSIGN_OR_RETURN(std::uint8_t b, read_u8(addr + static_cast<std::uint64_t>(i)));
-    v |= static_cast<std::uint64_t>(b) << (8 * i);
+    auto b = read_u8(addr + static_cast<std::uint64_t>(i));
+    if (!b) return std::nullopt;
+    v |= static_cast<std::uint64_t>(*b) << (8 * i);
   }
   return v;
 }
 
-Status Memory::write_u8(std::uint64_t addr, std::uint8_t v) {
-  Page* p = page_at(addr);
-  if (!p) return Error::invalid_argument("write unmapped " + hex_addr(addr));
-  if (!(p->perms & kPermWrite)) return Error::invalid_argument("write !W " + hex_addr(addr));
-  touch(addr);
-  mark_dirty(addr & kPageMask);
-  if (p->perms & kPermExec) note_code_change();
-  p->data[addr & (kPageSize - 1)] = v;
-  return Status::success();
-}
-
-Status Memory::write_u64(std::uint64_t addr, std::uint64_t v) {
-  const std::size_t off = static_cast<std::size_t>(addr & (kPageSize - 1));
-  if (off <= kPageSize - 8) {
-    Page* p = page_at(addr);
-    if (!p) return Error::invalid_argument("write unmapped " + hex_addr(addr));
-    if (!(p->perms & kPermWrite)) return Error::invalid_argument("write !W " + hex_addr(addr));
-    touch(addr);
-    mark_dirty(addr & kPageMask);
-    if (p->perms & kPermExec) note_code_change();
-    std::memcpy(p->data.get() + off, &v, 8);
-    return Status::success();
-  }
+bool Memory::write_u64_split(std::uint64_t addr, std::uint64_t v) {
   for (int i = 0; i < 8; ++i)
-    ZIPR_TRY(write_u8(addr + static_cast<std::uint64_t>(i),
-                      static_cast<std::uint8_t>((v >> (8 * i)) & 0xff)));
-  return Status::success();
+    if (!write_u8(addr + static_cast<std::uint64_t>(i),
+                  static_cast<std::uint8_t>((v >> (8 * i)) & 0xff)))
+      return false;
+  return true;
 }
 
 Result<Bytes> Memory::fetch(std::uint64_t addr, std::size_t n) {
+  // Exec pages always exist, so lookup() (which creates nothing) suffices.
   const Page* p = lookup(addr);
   if (!p) return Error::invalid_argument("fetch unmapped " + hex_addr(addr));
   if (!(p->perms & kPermExec)) return Error::invalid_argument("fetch !X " + hex_addr(addr));
@@ -176,9 +152,9 @@ Result<Bytes> Memory::fetch(std::uint64_t addr, std::size_t n) {
   out.reserve(n);
   for (std::size_t i = 0; i < n; ++i) {
     std::uint64_t a = addr + i;
-    const Page* q = lookup(a);
+    Page* q = lookup(a);
     if (!q || !(q->perms & kPermExec)) break;  // stop at mapping edge
-    touch(a);
+    touch(*q);
     out.push_back(q->data[a & (kPageSize - 1)]);
   }
   if (out.empty()) return Error::invalid_argument("fetch empty at " + hex_addr(addr));
@@ -190,10 +166,10 @@ Result<Bytes> Memory::read_block(std::uint64_t addr, std::size_t n) {
   std::size_t done = 0;
   while (done < n) {  // per contiguous page run
     const std::uint64_t a = addr + done;
-    const Page* p = lookup(a);
+    Page* p = access(a);
     if (!p) return Error::invalid_argument("read unmapped " + hex_addr(a));
     if (!(p->perms & kPermRead)) return Error::invalid_argument("read !R " + hex_addr(a));
-    touch(a);
+    touch(*p);
     const std::size_t off = static_cast<std::size_t>(a & (kPageSize - 1));
     const std::size_t take = std::min(static_cast<std::size_t>(kPageSize) - off, n - done);
     std::memcpy(out.data() + done, p->data.get() + off, take);
@@ -206,12 +182,10 @@ Status Memory::write_block(std::uint64_t addr, ByteView data) {
   std::size_t done = 0;
   while (done < data.size()) {  // per page run; earlier pages stay written on fault
     const std::uint64_t a = addr + done;
-    Page* p = page_at(a);
+    Page* p = access(a);
     if (!p) return Error::invalid_argument("write unmapped " + hex_addr(a));
     if (!(p->perms & kPermWrite)) return Error::invalid_argument("write !W " + hex_addr(a));
-    touch(a);
-    mark_dirty(a & kPageMask);
-    if (p->perms & kPermExec) note_code_change();
+    note_write(*p, a);
     const std::size_t off = static_cast<std::size_t>(a & (kPageSize - 1));
     const std::size_t take =
         std::min(static_cast<std::size_t>(kPageSize) - off, data.size() - done);
@@ -231,12 +205,17 @@ Status Memory::peek_into(std::uint64_t addr, std::span<Byte> out) const {
   std::size_t done = 0;
   while (done < out.size()) {
     const std::uint64_t a = addr + done;
-    const Page* p = lookup(a);
-    if (!p) return Error::invalid_argument("peek unmapped " + hex_addr(a));
     const std::size_t off = static_cast<std::size_t>(a & (kPageSize - 1));
     const std::size_t take =
         std::min(static_cast<std::size_t>(kPageSize) - off, out.size() - done);
-    std::memcpy(out.data() + done, p->data.get() + off, take);
+    if (const Page* p = lookup(a)) {
+      std::memcpy(out.data() + done, p->data.get() + off, take);
+    } else {
+      std::uint8_t perms = 0;
+      if (!lazy_perms(a & kPageMask, perms))
+        return Error::invalid_argument("peek unmapped " + hex_addr(a));
+      std::memset(out.data() + done, 0, take);  // lazy page not created yet
+    }
     done += take;
   }
   return Status::success();
@@ -250,52 +229,50 @@ const Byte* Memory::exec_page_data(std::uint64_t page_base) const {
 Memory::Snapshot Memory::snapshot() {
   Snapshot snap;
   snap.pages.reserve(pages_.size());
-  for (const auto& [base, page] : pages_) {
+  for (auto& [base, page] : pages_) {
     Snapshot::PageCopy copy;
     copy.data.assign(page.data.get(), page.data.get() + kPageSize);
     copy.perms = page.perms;
     snap.pages.emplace(base, std::move(copy));
+    page.dirty = false;
   }
-  snap.touched = touched_;
+  snap.touched_pages = touched_pages_;
   tracking_ = true;
+  frozen_lazy_ = lazy_.size();
+  touched_since_.clear();
   dirty_.clear();
-  last_dirty_ = kNoPage;
   return snap;
 }
 
 Status Memory::restore(const Snapshot& snap) {
   if (!tracking_)
     return Error::invalid_argument("restore without an active snapshot (dirty tracking off)");
+  // Untouch before the erasures below can free any of these pages.
+  for (Page* p : touched_since_) p->touched = false;
+  touched_since_.clear();
+  touched_pages_ = snap.touched_pages;
   flush_tlb();  // erasures below would dangle cached Page*
+  lazy_.resize(frozen_lazy_);  // drop regions mapped since the snapshot
   bool code_changed = false;
   for (std::uint64_t base : dirty_) {
     auto live = pages_.find(base);
-    auto it = snap.pages.find(base);
-    if (it == snap.pages.end()) {
-      // Mapped after the snapshot.
-      if (live != pages_.end() && (live->second.perms & kPermExec)) code_changed = true;
-      pages_.erase(base);
-      continue;
-    }
     if (live == pages_.end())
       return Error::internal("dirty page " + hex_addr(base) + " vanished before restore");
-    if ((live->second.perms | it->second.perms) & kPermExec) code_changed = true;
-    std::memcpy(live->second.data.get(), it->second.data.data(), kPageSize);
-    live->second.perms = it->second.perms;
+    Page& page = live->second;
+    auto it = snap.pages.find(base);
+    if (it == snap.pages.end()) {  // created after the snapshot
+      if (page.perms & kPermExec) code_changed = true;
+      pages_.erase(live);
+      continue;
+    }
+    if ((page.perms | it->second.perms) & kPermExec) code_changed = true;
+    std::memcpy(page.data.get(), it->second.data.data(), kPageSize);
+    page.perms = it->second.perms;
+    page.dirty = false;
   }
   if (code_changed) note_code_change();
   dirty_.clear();
-  last_dirty_ = kNoPage;
-  touched_ = snap.touched;
-  last_touched_ = kNoPage;
   return Status::success();
-}
-
-std::size_t Memory::pages_touched_in(std::uint64_t lo, std::uint64_t hi) const {
-  std::size_t n = 0;
-  for (const auto& [base, _] : touched_)
-    if (base >= lo && base < hi) ++n;
-  return n;
 }
 
 }  // namespace zipr::vm

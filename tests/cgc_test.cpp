@@ -8,6 +8,7 @@
 #include "cgc/metrics.h"
 #include "cgc/poller.h"
 #include "cgc/workload.h"
+#include "farm/farm.h"
 #include "testing_util.h"
 #include "zelf/io.h"
 
@@ -180,6 +181,46 @@ TEST(Golden, CorpusOutputDigest) {
   });
   EXPECT_EQ(cold_digest, kGoldenCorpusDigest);
   EXPECT_EQ(warm_digest, kGoldenCorpusDigest);
+}
+
+// Golden fuzz digest: a fixed-seed one-shard farm campaign over each
+// vulnerable CB instrumented with laf+cov, digesting crash keys and
+// inputs, corpus inputs and the instructions each corpus entry retired.
+// The VM is the campaign's inner loop, so any change to its semantics
+// (faults, coverage counters, instruction counts) moves the constant.
+constexpr std::uint64_t kGoldenFarmDigest = 0x67de3919e29e4ca7ULL;
+
+std::uint64_t fnv1a_u64(std::uint64_t h, std::uint64_t v) {
+  Bytes le;
+  put_u64(le, v);
+  return fnv1a(h, le);
+}
+
+TEST(Golden, FarmCampaignDigest) {
+  RewriteOptions instrument;
+  instrument.transforms = {"laf", "cov"};
+  farm::FarmOptions opts;
+  opts.seed = 11;
+  opts.shards = 1;
+  opts.jobs = 1;
+  opts.max_execs = 2000;
+  std::uint64_t h = kFnvOffset;
+  for (const auto& v : vulnerable_corpus()) {
+    auto image = must_rewrite(v.image, instrument).image;
+    auto res = farm::run_campaign(image, {v.benign_input}, opts);
+    ASSERT_TRUE(res.ok()) << v.name << ": " << res.error().message;
+    for (const auto& c : res->crashes) {
+      h = fnv1a_u64(h, static_cast<std::uint64_t>(c.crash.fault));
+      h = fnv1a_u64(h, c.crash.fault_pc);
+      h = fnv1a_u64(h, c.crash.path);
+      h = fnv1a(fnv1a_u64(h, c.crash.input.size()), c.crash.input);
+    }
+    for (const auto& e : res->corpus) {
+      h = fnv1a(fnv1a_u64(h, e.input.size()), e.input);
+      h = fnv1a_u64(h, e.exec_insns);
+    }
+  }
+  EXPECT_EQ(h, kGoldenFarmDigest) << std::hex << "0x" << h;
 }
 
 TEST(Metrics, HistogramBinning) {

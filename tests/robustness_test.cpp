@@ -188,8 +188,8 @@ TEST(Profile, CountersMatchCallCounts) {
   auto counter = [&](std::size_t index) {
     auto v = m.memory().read_u64(
         transform::profile_counter_addr(zelf::layout::kTextBase, index));
-    EXPECT_TRUE(v.ok());
-    return v.ok() ? *v : 0;
+    EXPECT_TRUE(v.has_value());
+    return v.value_or(0);
   };
   EXPECT_EQ(counter(0), 1u);  // main
   EXPECT_EQ(counter(1), 2u);  // twice_called

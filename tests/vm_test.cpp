@@ -2,6 +2,8 @@
 // protection, and the statistics the evaluation relies on.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "asm/assembler.h"
 #include "vm/machine.h"
 
@@ -678,12 +680,93 @@ TEST(VmMemory, RestoreDropsTlbEntriesForUnmappedPages) {
   auto snap = mem.snapshot();
 
   mem.map_anon(0x5000, kPageSize, kPermRead | kPermWrite);
-  ASSERT_TRUE(mem.write_u8(0x5000, 0xAB).ok());  // warms the TLB
-  ASSERT_TRUE(mem.read_u8(0x5000).ok());
+  ASSERT_TRUE(mem.write_u8(0x5000, 0xAB));  // warms the TLB
+  ASSERT_TRUE(mem.read_u8(0x5000).has_value());
 
   ASSERT_TRUE(mem.restore(snap).ok());
-  EXPECT_FALSE(mem.read_u8(0x5000).ok());  // page is gone again
-  EXPECT_TRUE(mem.read_u8(0x1000).ok());   // surviving page still works
+  EXPECT_FALSE(mem.read_u8(0x5000).has_value());  // page is gone again
+  EXPECT_TRUE(mem.read_u8(0x1000).has_value());   // surviving page still works
+}
+
+// Non-exec anonymous mappings are recorded as regions; pages appear
+// zero-filled on first access.
+constexpr std::uint64_t kLazyBase = 0x100000;
+constexpr std::uint64_t kLazySize = 1 << 20;
+
+TEST(VmMemory, LazyAnonMapCreatesNoPages) {
+  Memory mem;
+  mem.map_anon(kLazyBase, kLazySize, kPermRead | kPermWrite);
+  EXPECT_EQ(mem.pages_touched(), 0u);
+  EXPECT_TRUE(mem.is_mapped(kLazyBase));
+  EXPECT_TRUE(mem.is_mapped(kLazyBase + kLazySize - 1));
+  EXPECT_FALSE(mem.is_mapped(kLazyBase + kLazySize));
+  EXPECT_FALSE(mem.is_mapped(kLazyBase - 1));
+}
+
+TEST(VmMemory, LazyPageFirstReadIsZeroAndCountsOnePage) {
+  Memory mem;
+  mem.map_anon(kLazyBase, kLazySize, kPermRead | kPermWrite);
+  EXPECT_EQ(mem.read_u64(kLazyBase + 0x18), std::optional<std::uint64_t>(0));
+  EXPECT_EQ(mem.pages_touched(), 1u);
+  EXPECT_EQ(mem.read_u8(kLazyBase + 0x19), std::optional<std::uint8_t>(0));
+  EXPECT_EQ(mem.pages_touched(), 1u);  // same page
+  EXPECT_FALSE(mem.read_u8(kLazyBase + kLazySize).has_value());  // past the region
+  EXPECT_EQ(mem.pages_touched(), 1u);
+}
+
+TEST(VmMemory, RestoreDropsLazyPageCreatedAfterSnapshot) {
+  Memory mem;
+  mem.map_anon(kLazyBase, kLazySize, kPermRead | kPermWrite);
+  auto snap = mem.snapshot();
+  ASSERT_TRUE(mem.write_u64(kLazyBase + 0x40, 0xdeadbeef));
+  EXPECT_EQ(mem.read_u64(kLazyBase + 0x40), std::optional<std::uint64_t>(0xdeadbeef));
+  EXPECT_EQ(mem.pages_touched(), 1u);
+
+  ASSERT_TRUE(mem.restore(snap).ok());
+  EXPECT_EQ(mem.pages_touched(), 0u);
+  EXPECT_TRUE(mem.is_mapped(kLazyBase + 0x40));
+  EXPECT_EQ(mem.read_u64(kLazyBase + 0x40), std::optional<std::uint64_t>(0));
+  EXPECT_EQ(mem.pages_touched(), 1u);
+}
+
+TEST(VmMemory, PeekIntoLazyPageReadsZerosWithoutTouching) {
+  Memory mem;
+  mem.map_anon(kLazyBase, kLazySize, kPermRead | kPermWrite);
+  ASSERT_TRUE(mem.write_u8(kLazyBase, 7));  // one created page, one lazy one
+  ASSERT_EQ(mem.pages_touched(), 1u);
+  std::vector<Byte> buf(2 * kPageSize, 0xff);
+  ASSERT_TRUE(mem.peek_into(kLazyBase, std::span<Byte>(buf)).ok());
+  EXPECT_EQ(buf[0], 7);
+  EXPECT_TRUE(std::all_of(buf.begin() + 1, buf.end(), [](Byte b) { return b == 0; }));
+  EXPECT_EQ(mem.pages_touched(), 1u);
+  EXPECT_FALSE(mem.peek_into(kLazyBase + kLazySize - 1, std::span<Byte>(buf)).ok());
+}
+
+// allocate() maps adjacent ranges; they may coalesce into one region, but
+// never into a region the snapshot holds, so restore() unmaps them all.
+TEST(VmMemory, RestoreUnmapsAnonRegionsMappedAfterSnapshot) {
+  Memory mem;
+  mem.map_anon(kLazyBase, kPageSize, kPermRead | kPermWrite);
+  auto snap = mem.snapshot();
+  mem.map_anon(kLazyBase + kPageSize, kPageSize, kPermRead | kPermWrite);
+  mem.map_anon(kLazyBase + 2 * kPageSize, kPageSize, kPermRead | kPermWrite);
+  ASSERT_TRUE(mem.write_u8(kLazyBase + 2 * kPageSize, 1));
+
+  ASSERT_TRUE(mem.restore(snap).ok());
+  EXPECT_TRUE(mem.is_mapped(kLazyBase));
+  EXPECT_FALSE(mem.is_mapped(kLazyBase + kPageSize));
+  EXPECT_FALSE(mem.is_mapped(kLazyBase + 2 * kPageSize));
+  EXPECT_FALSE(mem.read_u8(kLazyBase + 2 * kPageSize).has_value());
+}
+
+TEST(VmMemory, ExecAnonMapBumpsCodeEpoch) {
+  Memory mem;
+  const std::uint64_t e0 = mem.code_epoch();
+  mem.map_anon(kLazyBase, kLazySize, kPermRead | kPermWrite);
+  EXPECT_EQ(mem.code_epoch(), e0);
+  mem.map_anon(0x10000, kPageSize, kPermRead | kPermWrite | kPermExec);
+  EXPECT_GT(mem.code_epoch(), e0);
+  EXPECT_NE(mem.exec_page_data(0x10000), nullptr);
 }
 
 }  // namespace
