@@ -157,7 +157,6 @@ int main(int argc, char** argv) {
     auto cov = instrument_cov(vuln.image, vuln.laf_gated);
     fuzz::FuzzOptions fopts;
     fopts.seed = 7;
-    fopts.jobs = 4;
     fopts.max_execs = 6000;
     auto result = fuzz::fuzz(cov, {vuln.benign_input}, fopts);
     if (!result.ok()) {

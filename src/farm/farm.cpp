@@ -33,10 +33,6 @@ double seconds_since(std::chrono::steady_clock::time_point t0) {
 Result<FarmResult> run_campaign(const zelf::Image& instrumented,
                                 const std::vector<Bytes>& seeds, const FarmOptions& opts) {
   if (opts.shards == 0) return Error::invalid_argument("farm needs at least one shard");
-  if (opts.streams_per_epoch == 0)
-    return Error::invalid_argument("farm needs at least one stream per epoch");
-  if (opts.rounds_per_stream == 0)
-    return Error::invalid_argument("farm needs at least one round per stream");
   const auto t0 = std::chrono::steady_clock::now();
 
   // Physical lanes: one persistent executor per shard. `jobs` may
@@ -44,18 +40,15 @@ Result<FarmResult> run_campaign(const zelf::Image& instrumented,
   // jobs than shards -- is clamped: a lane is a serial resource).
   std::vector<fuzz::Executor> executors;
   executors.reserve(opts.shards);
-  for (std::size_t p = 0; p < opts.shards; ++p) executors.emplace_back(instrumented, opts.limits);
+  for (std::size_t p = 0; p < opts.shards; ++p)
+    executors.emplace_back(instrumented, fuzz::kRunLimits);
   const int jobs = static_cast<int>(batch::effective_jobs(
       opts.jobs <= 0 ? static_cast<int>(opts.shards) : opts.jobs, opts.shards));
 
   fuzz::FuzzOptions base;
   base.seed = opts.seed;
-  base.jobs = 1;
   base.max_execs = opts.max_execs;
-  base.tasks_per_round = opts.tasks_per_round;
-  base.execs_per_task = opts.execs_per_task;
-  base.limits = opts.limits;
-  base.trim = opts.trim;
+  base.tasks_per_round = kTasksPerRound;
 
   FarmResult out;
   FarmStats& st = out.stats;
@@ -87,11 +80,11 @@ Result<FarmResult> run_campaign(const zelf::Image& instrumented,
     // Build this epoch's streams sequentially: each adopts a snapshot of
     // the merged state and owns a fresh (epoch, stream)-derived seed.
     std::vector<fuzz::Fuzzer> streams;
-    streams.reserve(opts.streams_per_epoch);
-    for (std::size_t s = 0; s < opts.streams_per_epoch; ++s) {
+    streams.reserve(kStreamsPerEpoch);
+    for (std::size_t s = 0; s < kStreamsPerEpoch; ++s) {
       fuzz::FuzzOptions fo = base;
       fo.seed = derive_seed(opts.seed,
-                            kFarmStreamBase + (epoch - 1) * opts.streams_per_epoch + s);
+                            kFarmStreamBase + (epoch - 1) * kStreamsPerEpoch + s);
       streams.emplace_back(instrumented, fo);
       streams.back().set_guest_seed(guest_seed);
       streams.back().adopt(corpus, virgin);
@@ -105,7 +98,7 @@ Result<FarmResult> run_campaign(const zelf::Image& instrumented,
     Status first_error = Status::success();
     batch::parallel_for(jobs, opts.shards, [&](std::size_t p) {
       for (std::size_t s = p; s < streams.size(); s += opts.shards) {
-        for (std::size_t r = 0; r < opts.rounds_per_stream; ++r) {
+        for (std::size_t r = 0; r < kRoundsPerStream; ++r) {
           auto tasks = streams[s].plan_round();
           Status status = streams[s].execute_serial(tasks, executors[p]);
           if (status.ok()) status = streams[s].merge_round(tasks, executors[p]);

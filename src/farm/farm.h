@@ -1,23 +1,24 @@
 // Multi-shard fuzzing farm: a campaign orchestrator that runs many
 // fuzz::Fuzzer streams on a pool of persistent-mode executors and merges
 // them at sync epochs -- the ZAFL/StochFuzz-scale workload the Zipr
-// executor was built for, with the same reproducibility contract the
-// single-shard fuzzer gives:
+// executor was built for, and the only way to run a campaign in parallel.
+// Its reproducibility contract:
 //
 //   merged corpus, crash set, and triage keys are a pure function of
-//   (image, seeds, campaign seed, epoch geometry) -- NOT of the shard
-//   count, the worker count, or any scheduling order.
+//   (image, seeds, campaign seed, run budget) -- NOT of the shard count,
+//   the worker count, or any scheduling order.
 //
 // How that holds (the determinism argument, long form in DESIGN.md):
 //
-//   * A campaign advances in SYNC EPOCHS. Each epoch spawns a fixed set
-//     of logical streams; stream s draws all its randomness from
+//   * A campaign advances in SYNC EPOCHS. Each epoch spawns
+//     kStreamsPerEpoch logical streams; stream s draws all its
+//     randomness from
 //     derive_seed(campaign_seed, kFarmStreamBase + epoch * streams + s),
 //     and every stream shares the campaign-global GUEST seed, so an
 //     input's coverage path -- and therefore its CrashKey -- is
 //     stream-independent.
 //   * Each stream adopts a snapshot of the merged corpus + virgin map
-//     and runs a fixed number of plan/execute/merge rounds on ONE
+//     and runs kRoundsPerStream plan/execute/merge rounds on ONE
 //     persistent executor. Executors are interchangeable (every run
 //     restores the same startup snapshot), so which shard's executor a
 //     stream lands on cannot leak into its results.
@@ -40,18 +41,18 @@
 
 namespace zipr::farm {
 
+/// Epoch geometry: logical streams per sync epoch, fuzzer rounds each
+/// stream runs between syncs, and tasks per round.
+inline constexpr std::size_t kStreamsPerEpoch = 8;
+inline constexpr std::size_t kRoundsPerStream = 2;
+inline constexpr std::size_t kTasksPerRound = 4;
+
 struct FarmOptions {
   std::uint64_t seed = 1;           ///< campaign seed (streams, guest rng)
   std::size_t shards = 1;           ///< persistent executors (physical lanes)
   int jobs = 0;                     ///< worker threads; <=0 or >shards clamps to shards
   std::uint64_t max_execs = 20000;  ///< stop after at least this many runs
                                     ///< (checked at epoch boundaries)
-  std::size_t streams_per_epoch = 8;  ///< logical streams per sync epoch
-  std::size_t rounds_per_stream = 2;  ///< fuzzer rounds between syncs
-  std::size_t tasks_per_round = 4;
-  std::size_t execs_per_task = 24;
-  vm::RunLimits limits{.max_insns = 2'000'000, .max_output = 1 << 20};
-  bool trim = true;
 };
 
 /// Where a crash was first (or subsequently) sighted. `shard` is derived
@@ -100,7 +101,7 @@ struct FarmResult {
 };
 
 /// Run a sharded campaign over a cov-instrumented image. Deterministic in
-/// (image, seeds, opts.seed, epoch geometry); invariant to opts.shards
+/// (image, seeds, opts.seed, opts.max_execs); invariant to opts.shards
 /// and opts.jobs (wall-clock stats and per-shard accounting aside).
 Result<FarmResult> run_campaign(const zelf::Image& instrumented,
                                 const std::vector<Bytes>& seeds, const FarmOptions& opts);

@@ -2,11 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
-#include <condition_variable>
-#include <memory>
-#include <mutex>
 
-#include "batch/worker_pool.h"
 #include "fuzz/mutator.h"
 
 namespace zipr::fuzz {
@@ -20,47 +16,9 @@ constexpr std::uint64_t kGuestRngStream = 0x6775;     // guest random() syscall
 constexpr std::uint64_t kPlannerStreamBase = 1u << 20;  // + round
 constexpr std::uint64_t kTaskStreamBase = 1u << 30;     // + global task ordinal
 
-/// Interchangeable-executor pool: workers borrow whichever executor is
-/// free. Legal because every run starts from the same startup snapshot,
-/// so results do not depend on which executor ran an input.
-class ExecutorPool {
- public:
-  ExecutorPool(const zelf::Image& image, std::size_t lanes, vm::RunLimits limits) {
-    for (std::size_t i = 0; i < lanes; ++i)
-      all_.push_back(std::make_unique<Executor>(image, limits));
-    for (auto& e : all_) free_.push_back(e.get());
-  }
-
-  Executor* acquire() {
-    std::unique_lock<std::mutex> lock(mu_);
-    cv_.wait(lock, [&] { return !free_.empty(); });
-    Executor* e = free_.back();
-    free_.pop_back();
-    return e;
-  }
-
-  void release(Executor* e) {
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      free_.push_back(e);
-    }
-    cv_.notify_one();
-  }
-
-  Executor& first() { return *all_.front(); }
-
-  std::uint64_t total_resets() const {
-    std::uint64_t n = 0;
-    for (const auto& e : all_) n += e->resets();
-    return n;
-  }
-
- private:
-  std::vector<std::unique_ptr<Executor>> all_;
-  std::vector<Executor*> free_;
-  std::mutex mu_;
-  std::condition_variable cv_;
-};
+constexpr std::size_t kExecsPerTask = 24;  // inputs one planned task carries
+// Cut the unread tail off new entries (admit() proves the cut is exact).
+constexpr bool kTrimAdmissions = true;
 
 }  // namespace
 
@@ -156,7 +114,7 @@ void Fuzzer::record_crash(const RunOut& out, const Bytes& input, MutationStage s
 // executor that the truncated input retires the exact same per-pc
 // instruction counts (the vm's hot-counter hook) before adopting it.
 Status Fuzzer::admit(Bytes input, RunOut out, MutationStage stage, Executor& trim_ex) {
-  if (opts_.trim && out.consumed < input.size()) {
+  if (kTrimAdmissions && out.consumed < input.size()) {
     Bytes trimmed(input.begin(), input.begin() + static_cast<std::ptrdiff_t>(out.consumed));
     trim_ex.machine().set_count_pcs(true);
     ZIPR_ASSIGN_OR_RETURN(ExecResult full, trim_ex.execute(input, guest_seed_));
@@ -227,7 +185,7 @@ std::vector<Fuzzer::Task> Fuzzer::plan_round() {
 
     const std::size_t det_total = det_count(entry.input.size());
     if (entry.det_done < det_total) {
-      const std::size_t end = std::min(det_total, entry.det_done + opts_.execs_per_task);
+      const std::size_t end = std::min(det_total, entry.det_done + kExecsPerTask);
       for (std::size_t i = entry.det_done; i < end; ++i) {
         task.inputs.push_back(det_mutate(entry.input, i));
         task.stages.push_back(MutationStage::kDet);
@@ -235,7 +193,7 @@ std::vector<Fuzzer::Task> Fuzzer::plan_round() {
       entry.det_done = end;
     } else {
       Rng rng(derive_seed(opts_.seed, kTaskStreamBase + ordinal));
-      for (std::size_t k = 0; k < opts_.execs_per_task; ++k) {
+      for (std::size_t k = 0; k < kExecsPerTask; ++k) {
         if (corpus_.size() > 1 && rng.chance(1, 4)) {
           std::size_t other = rng.below(corpus_.size() - 1);
           if (other >= pick) ++other;
@@ -264,8 +222,7 @@ Status Fuzzer::execute_serial(std::vector<Task>& tasks, Executor& ex) {
 
 Status Fuzzer::merge_round(std::vector<Task>& tasks, Executor& trim_ex) {
   // Sequential, in task order; re-checks novelty against the LIVE virgin
-  // map so duplicates across concurrent tasks collapse identically no
-  // matter how they were scheduled.
+  // map so duplicates across the round's tasks collapse to the first.
   for (auto& task : tasks) {
     for (std::size_t k = 0; k < task.inputs.size(); ++k) {
       RunOut& out = task.outs[k];
@@ -305,43 +262,18 @@ FuzzResult Fuzzer::take_result() {
 Result<FuzzResult> fuzz(const zelf::Image& instrumented, const std::vector<Bytes>& seeds,
                         const FuzzOptions& opts) {
   const auto start = std::chrono::steady_clock::now();
-  const std::size_t tasks_per_round = std::max<std::size_t>(1, opts.tasks_per_round);
-  const std::size_t jobs = batch::effective_jobs(opts.jobs, tasks_per_round);
-
-  ExecutorPool pool(instrumented, jobs, opts.limits);
+  Executor ex(instrumented, opts.limits);
   Fuzzer fz(instrumented, opts);
 
-  // ---- seed the corpus (sequentially, on the merge executor) ----
-  ZIPR_TRY(fz.seed_corpus(seeds, pool.first()));
-
-  // ---- rounds: sequential plan, parallel execute, sequential merge ----
+  ZIPR_TRY(fz.seed_corpus(seeds, ex));
   while (fz.stats().execs < opts.max_execs) {
     std::vector<Fuzzer::Task> tasks = fz.plan_round();
-
-    // Workers borrow interchangeable executors; the only shared state
-    // they write is their own task's result slots.
-    std::mutex err_mu;
-    Status first_error;
-    batch::parallel_for(static_cast<int>(jobs), tasks.size(), [&](std::size_t t) {
-      Executor* ex = pool.acquire();
-      for (std::size_t k = 0; k < tasks[t].inputs.size(); ++k) {
-        auto res = ex->execute(tasks[t].inputs[k], fz.guest_seed());
-        if (!res.ok()) {
-          std::lock_guard<std::mutex> lock(err_mu);
-          if (first_error.ok()) first_error = res.error();
-          break;
-        }
-        tasks[t].outs[k] = summarize(*res);
-      }
-      pool.release(ex);
-    });
-    ZIPR_TRY(first_error);
-
-    ZIPR_TRY(fz.merge_round(tasks, pool.first()));
+    ZIPR_TRY(fz.execute_serial(tasks, ex));
+    ZIPR_TRY(fz.merge_round(tasks, ex));
   }
 
   FuzzResult result = fz.take_result();
-  result.stats.resets = pool.total_resets();
+  result.stats.resets = ex.resets();
   const auto elapsed = std::chrono::duration<double>(std::chrono::steady_clock::now() - start);
   result.stats.wall_seconds = elapsed.count();
   result.stats.execs_per_sec =

@@ -1,25 +1,23 @@
 // The coverage-guided fuzzer core: corpus scheduling, coverage-novelty
-// admission, crash triage, and a parallel execution plan that is
-// REPRODUCIBLE INDEPENDENT OF THE WORKER COUNT.
+// admission and crash triage.
 //
-// Determinism design (the part worth reading twice): a campaign advances
-// in rounds. At every round boundary a sequential planner snapshots the
-// corpus, picks entries (favored first) and emits a fixed number of
-// tasks, each a concrete list of mutated inputs -- deterministic stages
-// are pure index enumerations (mutator.h) and randomized stages draw from
-// per-task Rng streams derived from (campaign seed, global task ordinal).
-// Workers only EXECUTE inputs; executors are interchangeable because each
-// run starts from the same startup snapshot. Results are merged back
-// sequentially in task order. Nothing observable depends on which worker
-// ran what, so `--jobs 1` and `--jobs 4` produce byte-identical corpora
-// and crash sets.
+// Determinism design: a campaign advances in rounds. At every round
+// boundary a sequential planner snapshots the corpus, picks entries
+// (favored first) and emits a fixed number of tasks, each a concrete list
+// of mutated inputs -- deterministic stages are pure index enumerations
+// (mutator.h) and randomized stages draw from per-task Rng streams derived
+// from (campaign seed, global task ordinal). The tasks then run back to
+// back on one persistent executor, and their results are merged in task
+// order. Executors are interchangeable because each run starts from the
+// same startup snapshot, so nothing observable depends on which executor
+// ran an input.
 //
-// The same machinery is exposed as the `Fuzzer` class -- one campaign
-// stream's corpus/virgin/crash state plus the plan/execute/merge round
-// loop -- so the multi-shard farm (src/farm) can run many streams, each
-// on its own persistent executor, and merge them deterministically at
-// sync epochs. `fuzz()` below is a single-stream campaign whose task
-// execution fans out over batch::parallel_for.
+// The machinery is exposed as the `Fuzzer` class -- one campaign stream's
+// corpus/virgin/crash state plus the plan/execute/merge round loop.
+// `fuzz()` below runs one stream on the calling thread; the multi-shard
+// farm (src/farm) runs many streams, each on a lane's persistent
+// executor, and merges them deterministically at sync epochs. The farm's
+// shards are the only way to run a campaign in parallel.
 #pragma once
 
 #include <array>
@@ -31,15 +29,15 @@
 
 namespace zipr::fuzz {
 
+/// Per-run gas and output budget of a campaign's executors.
+inline constexpr vm::RunLimits kRunLimits{.max_insns = 2'000'000, .max_output = 1 << 20};
+
 struct FuzzOptions {
   std::uint64_t seed = 1;          ///< campaign seed (mutations + scheduling)
-  int jobs = 1;                    ///< worker threads; <=0 = hardware
   std::uint64_t max_execs = 20000; ///< stop after at least this many runs
                                    ///< (checked at round boundaries)
-  std::size_t tasks_per_round = 8; ///< fixed per round, NOT scaled by jobs
-  std::size_t execs_per_task = 24;
-  vm::RunLimits limits{.max_insns = 2'000'000, .max_output = 1 << 20};
-  bool trim = true;                ///< cut unread tail bytes off new entries
+  std::size_t tasks_per_round = 8; ///< tasks each round plans
+  vm::RunLimits limits = kRunLimits;
 };
 
 /// Which mutation stage produced an input. Satellite visibility for "why
@@ -102,7 +100,7 @@ struct FuzzStats {
   std::uint64_t execs = 0;
   std::uint64_t crashing_execs = 0;  ///< before triage deduplication
   std::uint64_t rounds = 0;
-  std::uint64_t resets = 0;       ///< snapshot restores across all executors
+  std::uint64_t resets = 0;       ///< snapshot restores of the executor
   double wall_seconds = 0;
   double execs_per_sec = 0;
   std::size_t map_indices_hit = 0;  ///< distinct map indices ever nonzero
@@ -115,7 +113,7 @@ struct FuzzResult {
   FuzzStats stats;
 };
 
-/// What a worker hands back to the sequential merge, per executed input.
+/// What execution hands back to the merge, per executed input.
 struct RunOut {
   Bytes map;
   bool crashed = false;
@@ -140,11 +138,10 @@ void recompute_favored(std::vector<CorpusEntry>& corpus);
 
 /// One campaign stream: corpus + virgin map + deduped crash log + the
 /// deterministic plan/execute/merge round loop. All methods are serial;
-/// `fuzz()` parallelizes by executing a round's tasks on parallel_for,
-/// the farm by running whole streams on per-shard executors. Determinism
-/// contract: every observable result is a pure function of (image bytes,
-/// adopted state, opts.seed, guest seed) -- never of which executor ran
-/// an input, because executors are interchangeable snapshots.
+/// the farm runs whole streams in parallel on per-shard executors.
+/// Determinism contract: every observable result is a pure function of
+/// (image bytes, adopted state, opts.seed, guest seed) -- never of which
+/// executor ran an input, because executors are interchangeable snapshots.
 class Fuzzer {
  public:
   /// One planned task: a concrete input list plus the stage that minted
@@ -182,7 +179,7 @@ class Fuzzer {
   /// Plan one round: deterministic in (corpus, opts.seed, round count).
   std::vector<Task> plan_round();
 
-  /// Execute planned tasks back-to-back on one executor (farm streams).
+  /// Execute planned tasks back-to-back on one executor.
   Status execute_serial(std::vector<Task>& tasks, Executor& ex);
 
   /// Merge executed tasks sequentially in task order; re-checks novelty
@@ -217,10 +214,10 @@ class Fuzzer {
   std::uint64_t task_ordinal_ = 0;
 };
 
-/// Fuzz a cov-instrumented image starting from `seeds`. Runs until
-/// opts.max_execs executions have been spent (rounded up to a whole
-/// round). Fully deterministic in (image, seeds, opts.seed) -- wall-clock
-/// stats aside -- regardless of opts.jobs.
+/// Fuzz a cov-instrumented image starting from `seeds`, on the calling
+/// thread and one executor. Runs until opts.max_execs executions have been
+/// spent (rounded up to a whole round). Fully deterministic in (image,
+/// seeds, opts) -- wall-clock stats aside.
 Result<FuzzResult> fuzz(const zelf::Image& instrumented, const std::vector<Bytes>& seeds,
                         const FuzzOptions& opts);
 

@@ -11,6 +11,9 @@ namespace zipr::serve {
 namespace {
 using Clock = std::chrono::steady_clock;
 
+// How many same-options ancestors a miss probes before going cold.
+constexpr std::size_t kDeltaCandidates = 8;
+
 double ms_since(Clock::time_point start) {
   return std::chrono::duration<double, std::milli>(Clock::now() - start).count();
 }
@@ -90,7 +93,7 @@ Result<ServeResponse> ServeEngine::handle(ByteView input, const RewriteOptions& 
   if (options_.enable_delta) {
     bool probed = false;
     for (const CacheKey& ck :
-         cache_.recent_keys(odigest, tdigest, options_.delta_candidates)) {
+         cache_.recent_keys(odigest, tdigest, kDeltaCandidates)) {
       auto ancestor = cache_.peek(ck);
       if (!ancestor) continue;
       probed = true;

@@ -30,8 +30,6 @@ struct ServeOptions {
   /// Delta path on/off plus its page threshold.
   bool enable_delta = true;
   DeltaOptions delta;
-  /// How many same-options ancestors a miss probes before going cold.
-  std::size_t delta_candidates = 8;
   /// Artifact-cache persistence file. Non-empty: previously cached
   /// artifacts are replayed (re-verified) at startup and every new insert
   /// is appended, so a restarted daemon answers repeat requests as

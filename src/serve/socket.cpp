@@ -22,6 +22,7 @@ namespace {
 
 constexpr std::uint32_t kRequestMagic = 0x3151535AU;   // 'ZSQ1' little-endian
 constexpr std::uint32_t kResponseMagic = 0x3150535AU;  // 'ZSP1' little-endian
+constexpr int kListenBacklog = 16;  // connections waiting for a free acceptor
 
 Error sys_error(const std::string& what) {
   return Error::internal(what + ": " + std::strerror(errno));
@@ -183,7 +184,7 @@ Status serve_on_socket(ServeEngine& engine, const SocketServerOptions& options) 
   ::unlink(options.path.c_str());  // stale socket from a previous run
   if (::bind(listen_fd, reinterpret_cast<sockaddr*>(&addr), sizeof addr) < 0)
     return sys_error("bind " + options.path);
-  if (::listen(listen_fd, options.backlog) < 0) return sys_error("listen");
+  if (::listen(listen_fd, kListenBacklog) < 0) return sys_error("listen");
 
   // Every acceptor loops: claim a ticket, accept, serve. The ticket comes
   // first, so no thread waits in accept() for a connection nobody owes it

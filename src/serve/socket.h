@@ -49,7 +49,6 @@ inline constexpr std::uint64_t kMinRequestRate = std::uint64_t{64} << 20;
 
 struct SocketServerOptions {
   std::string path;       ///< filesystem path to bind (unlinked first)
-  int backlog = 16;
   /// Accept and serve exactly this many connections, then return once all
   /// are done; < 0 = run until the process dies. Tests and the smoke
   /// harness use a finite count.

@@ -19,6 +19,9 @@ namespace {
 constexpr std::uint64_t kShortJump = isa::kJmp8Len;   // 2
 constexpr std::uint64_t kLongJump = isa::kJmp32Len;   // 5
 constexpr Byte kFillByte = isa::opc::kHlt;  // stray control flow traps cleanly
+// Cap on how many successor dollops one emission region may absorb; bounds
+// the main-span space a single placement decision can claim.
+constexpr std::size_t kMaxCoalesceRun = 64;
 
 // Reach of a 2-byte jump placed at `site`: its target t satisfies
 // t - (site + 2) in [-128, 127].
@@ -615,7 +618,7 @@ Status Reassembler::emit_dollop_at(Dollop* d, std::uint64_t base, std::uint64_t 
   };
 
   for (;;) {
-    const bool may_coalesce = opts_.coalesce && run < opts_.max_coalesce_run;
+    const bool may_coalesce = opts_.coalesce && run < kMaxCoalesceRun;
 
     for (std::size_t i = 0; i + 1 < d->insns.size(); ++i) {
       InsnId id = d->insns[i];

@@ -48,9 +48,6 @@ struct ReassemblyOptions {
   /// the diversity strategy by default (it would correlate successor
   /// layout with predecessor layout, weakening randomization).
   bool coalesce = true;
-  /// Cap on how many successor dollops one emission region may absorb;
-  /// bounds the main-span space a single placement decision can claim.
-  std::size_t max_coalesce_run = 64;
 };
 
 struct RewriteStats {

@@ -16,26 +16,8 @@ double ms_since(Clock::time_point start) {
 }
 }  // namespace
 
-// rewrite() is REENTRANT: every piece of pipeline state (IR program,
-// transform contexts, reassembler, placement strategy, RNGs) lives in this
-// call frame or in the calling thread's workspace. The only process-global
-// state it touches is the transform registry (mutex-guarded, and mutated
-// only by register_transform) and the logger (thread-safe sink).
-// Concurrent calls on distinct inputs -- or even the same input -- are
-// safe; the batch engine (src/batch) relies on this.
-Result<RewriteResult> rewrite(const zelf::Image& input, const RewriteOptions& options) {
-  RewriteWorkspace& workspace = this_thread_workspace();
-  StageTimes timing;
-  Clock::time_point stage_start = Clock::now();
-
-  // Phase 1: IR Construction.
-  ZIPR_ASSIGN_OR_RETURN(analysis::IrProgram prog,
-                        analysis::build_ir(input, options.analysis, &workspace.analysis()));
-  timing.ir_ms = ms_since(stage_start);
-  stage_start = Clock::now();
-
-  // Phase 2: Transformation. Mandatory invariants are checked before and
-  // after the user-specified transforms run.
+Result<transform::InstrumentationStats> apply_transforms(analysis::IrProgram& prog,
+                                                         const RewriteOptions& options) {
   ZIPR_TRY(transform::verify_mandatory(prog));
   std::vector<std::string> names = options.transforms;
   if (names.empty()) names.push_back("null");
@@ -54,6 +36,30 @@ Result<RewriteResult> rewrite(const zelf::Image& input, const RewriteOptions& op
     instrumentation += ctx.instrumentation();
   }
   ZIPR_TRY(transform::verify_mandatory(prog));
+  return instrumentation;
+}
+
+// rewrite() is REENTRANT: every piece of pipeline state (IR program,
+// transform contexts, reassembler, placement strategy, RNGs) lives in this
+// call frame or in the calling thread's workspace. The only process-global
+// state it touches is the transform registry (mutex-guarded, and mutated
+// only by register_transform) and the logger (thread-safe sink).
+// Concurrent calls on distinct inputs -- or even the same input -- are
+// safe; the batch engine (src/batch) relies on this.
+Result<RewriteResult> rewrite(const zelf::Image& input, const RewriteOptions& options) {
+  RewriteWorkspace& workspace = this_thread_workspace();
+  StageTimes timing;
+  Clock::time_point stage_start = Clock::now();
+
+  // Phase 1: IR Construction.
+  ZIPR_ASSIGN_OR_RETURN(analysis::IrProgram prog,
+                        analysis::build_ir(input, options.analysis, &workspace.analysis()));
+  timing.ir_ms = ms_since(stage_start);
+  stage_start = Clock::now();
+
+  // Phase 2: Transformation.
+  ZIPR_ASSIGN_OR_RETURN(transform::InstrumentationStats instrumentation,
+                        apply_transforms(prog, options));
   timing.transform_ms = ms_since(stage_start);
   stage_start = Clock::now();
 

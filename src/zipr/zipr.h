@@ -73,6 +73,13 @@ struct RewriteResult {
   StageTimes timing;
 };
 
+/// Phase 2 of rewrite(): check the mandatory invariants, apply
+/// `options.transforms` in order ("null" when the list is empty; transform
+/// i is seeded with derive_seed(options.seed, 1 + i)), and check the
+/// invariants again. Returns the transforms' summed instrumentation stats.
+Result<transform::InstrumentationStats> apply_transforms(analysis::IrProgram& prog,
+                                                         const RewriteOptions& options);
+
 /// Rewrite `input`, applying the configured transforms. The whole pipeline
 /// runs on the calling thread.
 ///

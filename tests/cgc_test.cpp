@@ -183,12 +183,14 @@ TEST(Golden, CorpusOutputDigest) {
   EXPECT_EQ(warm_digest, kGoldenCorpusDigest);
 }
 
-// Golden fuzz digest: a fixed-seed one-shard farm campaign over each
-// vulnerable CB instrumented with laf+cov, digesting crash keys and
-// inputs, corpus inputs and the instructions each corpus entry retired.
-// The VM is the campaign's inner loop, so any change to its semantics
-// (faults, coverage counters, instruction counts) moves the constant.
+// Golden fuzz digests: a fixed-seed campaign over each vulnerable CB
+// instrumented with laf+cov, digesting crash keys and inputs, corpus
+// inputs and the instructions each corpus entry retired. The VM is the
+// campaign's inner loop, so any change to its semantics (faults, coverage
+// counters, instruction counts) moves the constants. The farm digest runs
+// a one-shard farm campaign, the fuzz digest a plain fuzz::fuzz campaign.
 constexpr std::uint64_t kGoldenFarmDigest = 0x67de3919e29e4ca7ULL;
+constexpr std::uint64_t kGoldenFuzzDigest = 0xa0bb9d3194d64a79ULL;
 
 std::uint64_t fnv1a_u64(std::uint64_t h, std::uint64_t v) {
   Bytes le;
@@ -196,9 +198,28 @@ std::uint64_t fnv1a_u64(std::uint64_t h, std::uint64_t v) {
   return fnv1a(h, le);
 }
 
-TEST(Golden, FarmCampaignDigest) {
+std::uint64_t digest_crash(std::uint64_t h, const fuzz::Crash& c) {
+  h = fnv1a_u64(h, static_cast<std::uint64_t>(c.fault));
+  h = fnv1a_u64(h, c.fault_pc);
+  h = fnv1a_u64(h, c.path);
+  return fnv1a(fnv1a_u64(h, c.input.size()), c.input);
+}
+
+std::uint64_t digest_corpus(std::uint64_t h, const std::vector<fuzz::CorpusEntry>& corpus) {
+  for (const auto& e : corpus) {
+    h = fnv1a(fnv1a_u64(h, e.input.size()), e.input);
+    h = fnv1a_u64(h, e.exec_insns);
+  }
+  return h;
+}
+
+RewriteOptions laf_cov() {
   RewriteOptions instrument;
   instrument.transforms = {"laf", "cov"};
+  return instrument;
+}
+
+TEST(Golden, FarmCampaignDigest) {
   farm::FarmOptions opts;
   opts.seed = 11;
   opts.shards = 1;
@@ -206,21 +227,28 @@ TEST(Golden, FarmCampaignDigest) {
   opts.max_execs = 2000;
   std::uint64_t h = kFnvOffset;
   for (const auto& v : vulnerable_corpus()) {
-    auto image = must_rewrite(v.image, instrument).image;
+    auto image = must_rewrite(v.image, laf_cov()).image;
     auto res = farm::run_campaign(image, {v.benign_input}, opts);
     ASSERT_TRUE(res.ok()) << v.name << ": " << res.error().message;
-    for (const auto& c : res->crashes) {
-      h = fnv1a_u64(h, static_cast<std::uint64_t>(c.crash.fault));
-      h = fnv1a_u64(h, c.crash.fault_pc);
-      h = fnv1a_u64(h, c.crash.path);
-      h = fnv1a(fnv1a_u64(h, c.crash.input.size()), c.crash.input);
-    }
-    for (const auto& e : res->corpus) {
-      h = fnv1a(fnv1a_u64(h, e.input.size()), e.input);
-      h = fnv1a_u64(h, e.exec_insns);
-    }
+    for (const auto& c : res->crashes) h = digest_crash(h, c.crash);
+    h = digest_corpus(h, res->corpus);
   }
   EXPECT_EQ(h, kGoldenFarmDigest) << std::hex << "0x" << h;
+}
+
+TEST(Golden, FuzzCampaignDigest) {
+  fuzz::FuzzOptions opts;
+  opts.seed = 11;
+  opts.max_execs = 2000;
+  std::uint64_t h = kFnvOffset;
+  for (const auto& v : vulnerable_corpus()) {
+    auto image = must_rewrite(v.image, laf_cov()).image;
+    auto res = fuzz::fuzz(image, {v.benign_input}, opts);
+    ASSERT_TRUE(res.ok()) << v.name << ": " << res.error().message;
+    for (const auto& c : res->crashes) h = digest_crash(h, c);
+    h = digest_corpus(h, res->corpus);
+  }
+  EXPECT_EQ(h, kGoldenFuzzDigest) << std::hex << "0x" << h;
 }
 
 TEST(Metrics, HistogramBinning) {

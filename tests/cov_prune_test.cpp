@@ -163,7 +163,6 @@ std::set<vm::Fault> triage_keys(const cgc::VulnCb& vuln, std::uint64_t seed, boo
   auto rewritten = must_rewrite(vuln.image, opts);
   fuzz::FuzzOptions fopts;
   fopts.seed = seed;
-  fopts.jobs = 4;
   fopts.max_execs = 6000;
   auto result = fuzz::fuzz(rewritten.image, {vuln.benign_input}, fopts);
   EXPECT_TRUE(result.ok()) << (result.ok() ? "" : result.error().message);

@@ -286,10 +286,9 @@ TEST(Mutator, SpliceCombinesBothParents) {
 
 // ---- the fuzzer core ----
 
-FuzzOptions smoke_opts(std::uint64_t max_execs, int jobs = 1) {
+FuzzOptions smoke_opts(std::uint64_t max_execs) {
   FuzzOptions opts;
   opts.seed = 7;
-  opts.jobs = jobs;
   opts.max_execs = max_execs;
   return opts;
 }
@@ -338,27 +337,6 @@ TEST(Fuzzer, RediscoversEveryPlantedBug) {
     EXPECT_EQ(crashed, result->crashes.size()) << vuln.name;
     EXPECT_GE(st.admitted[static_cast<std::size_t>(MutationStage::kSeed)], 1u) << vuln.name;
   }
-}
-
-TEST(Fuzzer, WorkerCountDoesNotChangeResults) {
-  auto vulns = cgc::vulnerable_corpus();
-  const auto& table = vulns[2];
-  auto cov = instrument(table.image);
-  auto serial = fuzz(cov, {table.benign_input}, smoke_opts(2000, 1));
-  auto parallel = fuzz(cov, {table.benign_input}, smoke_opts(2000, 4));
-  ASSERT_TRUE(serial.ok() && parallel.ok());
-  EXPECT_EQ(serial->stats.execs, parallel->stats.execs);
-  EXPECT_EQ(serial->stats.rounds, parallel->stats.rounds);
-  ASSERT_EQ(serial->crashes.size(), parallel->crashes.size());
-  for (std::size_t i = 0; i < serial->crashes.size(); ++i) {
-    EXPECT_EQ(serial->crashes[i].fault, parallel->crashes[i].fault);
-    EXPECT_EQ(serial->crashes[i].fault_pc, parallel->crashes[i].fault_pc);
-    EXPECT_EQ(serial->crashes[i].path, parallel->crashes[i].path);
-    EXPECT_EQ(serial->crashes[i].input, parallel->crashes[i].input);
-  }
-  ASSERT_EQ(serial->corpus.size(), parallel->corpus.size());
-  for (std::size_t i = 0; i < serial->corpus.size(); ++i)
-    EXPECT_EQ(serial->corpus[i].input, parallel->corpus[i].input);
 }
 
 TEST(Fuzzer, SameSpecSameCampaign) {

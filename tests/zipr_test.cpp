@@ -1135,5 +1135,48 @@ TEST(Pipeline, LayeredPathMatchesRewrite) {
   }
 }
 
+TEST(Pipeline, ApplyTransformsIsRewritesPhaseTwo) {
+  // A registered transform that leaves a branch without a target link
+  // breaks the mandatory invariants: apply_transforms() must refuse it
+  // with the same error rewrite() gives.
+  class UnlinkedBranch final : public transform::Transform {
+   public:
+    std::string name() const override { return "test-unlinked-branch"; }
+    Status apply(transform::TransformContext& ctx) override {
+      ctx.db().add_new(isa::make_jmp(0, isa::BranchWidth::kRel32));
+      return Status::success();
+    }
+  };
+  transform::register_transform("test-unlinked-branch",
+                                [] { return std::make_unique<UnlinkedBranch>(); });
+  auto img = must_assemble(".entry m\n.text\nm: movi r0, 1\nmovi r1, 0\nsyscall\n");
+  RewriteOptions broken;
+  broken.transforms = {"test-unlinked-branch"};
+  auto prog = analysis::build_ir(img, broken.analysis);
+  ASSERT_TRUE(prog.ok()) << prog.error().message;
+  auto applied = apply_transforms(*prog, broken);
+  ASSERT_FALSE(applied.ok());
+  auto rewritten = rewrite(img, broken);
+  ASSERT_FALSE(rewritten.ok());
+  EXPECT_EQ(applied.error().kind, rewritten.error().kind);
+  EXPECT_EQ(applied.error().message, rewritten.error().message);
+
+  // A well-formed stack reports what rewrite() reports.
+  auto cb = cgc::generate_cb(cgc::cfe_corpus()[0]);
+  ASSERT_TRUE(cb.ok()) << cb.error().message;
+  RewriteOptions cov;
+  cov.transforms = {"laf", "cov"};
+  cov.seed = 5;
+  auto cb_prog = analysis::build_ir(cb->image, cov.analysis);
+  ASSERT_TRUE(cb_prog.ok()) << cb_prog.error().message;
+  auto stats = apply_transforms(*cb_prog, cov);
+  ASSERT_TRUE(stats.ok()) << stats.error().message;
+  auto direct = rewrite(cb->image, cov);
+  ASSERT_TRUE(direct.ok()) << direct.error().message;
+  EXPECT_GT(stats->probes, 0u);
+  EXPECT_EQ(stats->probes, direct->instrumentation.probes);
+  EXPECT_EQ(stats->candidate_sites, direct->instrumentation.candidate_sites);
+}
+
 }  // namespace
 }  // namespace zipr

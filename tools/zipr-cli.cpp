@@ -12,11 +12,13 @@
 // binary is reported and exits nonzero at the end but never stops the rest.
 //   zipr-cli a.zelf b.zelf ... --out-dir=DIR [--jobs=N] [batch-safe flags]
 //
-// Fuzz mode: instrument with coverage and run the coverage-guided fuzzer;
-// --shards=N>1 runs the multi-shard farm orchestrator instead (same
-// deterministic results at any shard/worker count, more lanes).
-//   zipr-cli fuzz input.zelf [--transform=cov|laf]... [--runs=N] [--jobs=N]
-//            [--shards=N] [--seed=N] [--input=<seed file>]... [--crash-dir=DIR]
+// Fuzz mode: instrument with coverage (default --transform=cov) and run the
+// coverage-guided fuzzer on the calling thread; --shards=N>1 runs the
+// multi-shard farm orchestrator instead, its lanes on --jobs threads (at
+// most N). Results are the same at any shard or thread count.
+//   zipr-cli fuzz input.zelf [--runs=N] [--shards=N] [--jobs=N]
+//            [--input=<seed file>]... [--crash-dir=DIR]
+//            [rewrite flags as in single-binary mode]
 //
 // Serve mode: long-running rewrite service on a local Unix socket, with a
 // content-addressed artifact cache and a page-delta fast path; --jobs
@@ -43,8 +45,8 @@
 
 namespace {
 
-// Rewrite-configuration flags shared by single-binary, batch, and submit
-// modes; every numeric flag is strictly parsed (cli::checked_u64).
+// Rewrite-configuration flags shared by single-binary, batch, submit and
+// fuzz modes; every numeric flag is strictly parsed (cli::checked_u64).
 const std::vector<std::string> kRewriteFlags = {
     "transform", "placement", "seed",          "coalesce",  "no-coalesce",
     "cov-prune", "no-cov-prune", "pin-call-returns", "naive-pins"};
@@ -239,14 +241,8 @@ void save_crash_input(const zipr::cli::Args& args, std::size_t i, const zipr::By
 // Sharded campaign (--shards=N>1): the farm orchestrator. Results are
 // invariant to the shard/worker counts; only throughput changes.
 int run_farm(const zipr::cli::Args& args, const zipr::zelf::Image& instrumented,
-             const std::vector<zipr::Bytes>& seeds, std::uint64_t seed,
-             std::uint64_t shards) {
+             const std::vector<zipr::Bytes>& seeds, const zipr::farm::FarmOptions& fopts) {
   using namespace zipr;
-  farm::FarmOptions fopts;
-  fopts.seed = seed;
-  fopts.shards = static_cast<std::size_t>(shards);
-  fopts.jobs = static_cast<int>(cli::checked_u64(args, "jobs", 0, 4096));
-  fopts.max_execs = cli::checked_u64(args, "runs", 20000);
   auto result = farm::run_campaign(instrumented, seeds, fopts);
   if (!result.ok()) cli::die(result.error().message);
 
@@ -273,21 +269,23 @@ int run_farm(const zipr::cli::Args& args, const zipr::zelf::Image& instrumented,
 
 int run_fuzz(const zipr::cli::Args& args) {
   using namespace zipr;
-  cli::reject_unknown(args, {"transform", "runs", "jobs", "seed", "input", "crash-dir",
-                             "shards", "cov-prune", "no-cov-prune"});
+  cli::reject_unknown(args,
+                      with_flags(kRewriteFlags, {"runs", "jobs", "input", "crash-dir", "shards"}));
   if (args.positional().size() != 2)
     cli::die("fuzz mode takes exactly one input image: zipr-cli fuzz <input.zelf>");
 
+  RewriteOptions options = parse_rewrite_options(args);
+  if (options.transforms.empty()) options.transforms = {"cov"};
+  farm::FarmOptions fopts;
+  fopts.seed = options.seed;
+  // --shards=0 is rejected by name (min 1); 1 = plain single-stream fuzz
+  // on the calling thread, which --jobs does not affect.
+  fopts.shards = static_cast<std::size_t>(cli::checked_u64(args, "shards", 1, 4096, 1));
+  fopts.jobs = static_cast<int>(cli::checked_u64(args, "jobs", 0, 4096));
+  fopts.max_execs = cli::checked_u64(args, "runs", 20000);
+
   auto input = zelf::load_image(args.positional()[1]);
   if (!input.ok()) cli::die(input.error().message);
-
-  RewriteOptions options;
-  options.transforms = args.values("transform");
-  if (options.transforms.empty()) options.transforms = {"cov"};
-  options.seed = cli::checked_u64(args, "seed", 1);
-  if (args.has("cov-prune") && args.has("no-cov-prune"))
-    cli::die("--cov-prune and --no-cov-prune are mutually exclusive");
-  options.cov_prune = !args.has("no-cov-prune");
   auto rewritten = rewrite(*input, options);
   if (!rewritten.ok()) cli::die("instrumentation failed: " + rewritten.error().message);
 
@@ -311,15 +309,10 @@ int run_fuzz(const zipr::cli::Args& args) {
   }
   if (seeds.empty()) seeds.push_back(Bytes(4, 0));  // minimal default seed
 
-  // --shards=0 is rejected by name (min 1); 1 = plain single-stream fuzz.
-  const std::uint64_t shards = cli::checked_u64(args, "shards", 1, 4096, 1);
-  if (shards > 1) return run_farm(args, rewritten->image, seeds, options.seed, shards);
+  if (fopts.shards > 1) return run_farm(args, rewritten->image, seeds, fopts);
 
-  fuzz::FuzzOptions fopts;
-  fopts.seed = options.seed;
-  fopts.jobs = static_cast<int>(cli::checked_u64(args, "jobs", 1, 4096));
-  fopts.max_execs = cli::checked_u64(args, "runs", 20000);
-  auto result = fuzz::fuzz(rewritten->image, seeds, fopts);
+  auto result = fuzz::fuzz(rewritten->image, seeds,
+                           {.seed = fopts.seed, .max_execs = fopts.max_execs});
   if (!result.ok()) cli::die(result.error().message);
 
   const auto& s = result->stats;
@@ -363,10 +356,11 @@ int main(int argc, char** argv) {
         "                [--list-transforms]\n"
         "       zipr-cli <input.zelf>... --out-dir=<dir> [--jobs=N] [shared flags]\n"
         "                (batch mode: rewrites all inputs on --jobs threads)\n"
-        "       zipr-cli fuzz <input.zelf> [--transform=cov|laf]... [--runs=N] [--jobs=N]\n"
-        "                [--shards=N] [--seed=N] [--input=<seed file>]... [--crash-dir=<dir>]\n"
-        "                [--cov-prune|--no-cov-prune]\n"
-        "                (coverage-guided fuzzing; --shards>1 = multi-shard farm)\n"
+        "       zipr-cli fuzz <input.zelf> [--runs=N] [--shards=N] [--jobs=N]\n"
+        "                [--input=<seed file>]... [--crash-dir=<dir>] [shared rewrite flags]\n"
+        "                (coverage-guided fuzzing, default --transform=cov; one shard runs\n"
+        "                 on the calling thread, --shards>1 = multi-shard farm whose lanes\n"
+        "                 run on --jobs threads, at most --shards, default --shards)\n"
         "       zipr-cli serve --socket=<path> [--jobs=N] [--cache-mb=N] [--no-delta]\n"
         "                [--max-delta-pages=N] [--max-requests=N] [--cache-file=<path>]\n"
         "                (rewrite service: content-addressed cache + delta path;\n"
@@ -394,15 +388,8 @@ int main(int argc, char** argv) {
   if (auto dump_path = args.value("dump-ir")) {
     auto prog = analysis::build_ir(*input, options.analysis);
     if (!prog.ok()) cli::die(prog.error().message);
-    std::uint64_t stream = 1;  // matches zipr::rewrite's per-transform seeds
-    for (const auto& name : options.transforms) {
-      auto t = transform::make_transform(name);
-      if (!t.ok()) cli::die(t.error().message);
-      transform::TransformContext ctx(*prog, derive_seed(options.seed, stream++),
-                                      transform::TransformConfig{options.cov_prune});
-      auto applied = (*t)->apply(ctx);
-      if (!applied.ok()) cli::die(applied.error().message);
-    }
+    auto applied = apply_transforms(*prog, options);
+    if (!applied.ok()) cli::die(applied.error().message);
     if (!cli::write_file(*dump_path, irdb::serialize(prog->db)))
       cli::die("cannot write " + *dump_path);
     std::printf("IR dumped to %s (%zu instructions, %zu pins, %zu functions)\n",
