@@ -1,4 +1,4 @@
-// Shared helpers for the figure-reproduction benchmarks: corpus
+// Shared helpers for the figure-reproduction and timing benchmarks: corpus
 // evaluation under named configurations and paper-style text rendering
 // (histograms, bar rows, PASS/FAIL claim checks).
 #pragma once
@@ -77,8 +77,7 @@ struct ClaimChecker {
     if (!ok) ++failed;
   }
   int finish() const {
-    std::printf("\n%s\n", failed == 0 ? "All paper-shape claims hold."
-                                      : "Some paper-shape claims FAILED.");
+    std::printf("\n%s\n", failed == 0 ? "All claims hold." : "Some claims FAILED.");
     return failed == 0 ? 0 : 1;
   }
 };

@@ -3,9 +3,9 @@
 // operations, free-space allocation and placement under heavy
 // fragmentation, VM execution, and the end-to-end rewrite itself.
 //
-// `tools/run_bench.sh` (or the `perf_smoke` CMake target) runs this suite
-// with --benchmark_format=json into BENCH_micro.json so the throughput
-// trajectory is tracked PR over PR.
+// The `perf_smoke` CMake target runs this suite into build/BENCH_micro.json
+// and gates it with tools/perf_guard.py: against the committed
+// BENCH_micro.json, and (--micro) against absolute ceilings.
 #include <benchmark/benchmark.h>
 
 #include <atomic>

@@ -15,6 +15,7 @@
 
 #include "batch/batch_rewriter.h"
 #include "batch/worker_pool.h"
+#include "cgc/generator.h"
 #include "testing_util.h"
 #include "zelf/io.h"
 
@@ -131,6 +132,34 @@ TEST(BatchRewriter, ParallelOutputsAreByteIdenticalToSerial) {
     EXPECT_EQ(zelf::write_image(a.items[i].result->image),
               zelf::write_image(b.items[i].result->image))
         << "image " << i << " diverges between serial and 4-worker runs";
+  }
+}
+
+// The 62-CB corpus: no rewrite fails, and every job count reproduces the
+// serial pass byte for byte.
+TEST(BatchRewriter, CorpusIsByteIdenticalAtEveryJobCount) {
+  std::vector<zelf::Image> images;
+  for (const auto& spec : cgc::cfe_corpus()) {
+    auto cb = cgc::generate_cb(spec);
+    ASSERT_TRUE(cb.ok()) << spec.name << ": " << cb.error().message;
+    images.push_back(std::move(cb->image));
+  }
+  std::vector<Bytes> serial;
+  for (int jobs : {1, 2, 4, 8}) {
+    BatchOptions opts;
+    opts.jobs = jobs;
+    BatchResult r = batch::rewrite_batch(images, opts);
+    EXPECT_EQ(r.stats.failed, 0u) << "jobs " << jobs;
+    ASSERT_EQ(r.items.size(), images.size());
+    for (std::size_t i = 0; i < images.size(); ++i) {
+      ASSERT_TRUE(r.items[i].result.ok()) << "jobs " << jobs << " CB " << i << ": "
+                                          << r.items[i].result.error().message;
+      Bytes out = zelf::write_image(r.items[i].result->image);
+      if (jobs == 1)
+        serial.push_back(std::move(out));
+      else
+        EXPECT_EQ(out, serial[i]) << "CB " << i << " diverges at jobs " << jobs;
+    }
   }
 }
 

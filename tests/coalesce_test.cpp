@@ -10,6 +10,7 @@
 
 #include "analysis/ir_builder.h"
 #include "cgc/generator.h"
+#include "cgc/metrics.h"
 #include "cgc/poller.h"
 #include "testing_util.h"
 #include "vm/machine.h"
@@ -166,6 +167,14 @@ struct DiffCase {
   PlacementKind placement;
 };
 
+const DiffCase kStrategyCases[] = {{"nearfit", PlacementKind::kNearfit},
+                                   {"diversity", PlacementKind::kDiversity},
+                                   {"pinpage", PlacementKind::kPinPage}};
+
+std::string strategy_name(const ::testing::TestParamInfo<DiffCase>& info) {
+  return info.param.name;
+}
+
 class CoalesceDifferentialTest : public ::testing::TestWithParam<DiffCase> {};
 
 TEST_P(CoalesceDifferentialTest, TraceAndBehaviourMatchAcrossSeeds) {
@@ -188,12 +197,7 @@ TEST_P(CoalesceDifferentialTest, TraceAndBehaviourMatchAcrossSeeds) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Strategies, CoalesceDifferentialTest,
-                         ::testing::Values(DiffCase{"nearfit", PlacementKind::kNearfit},
-                                           DiffCase{"diversity", PlacementKind::kDiversity},
-                                           DiffCase{"pinpage", PlacementKind::kPinPage}),
-                         [](const ::testing::TestParamInfo<DiffCase>& info) {
-                           return info.param.name;
-                         });
+                         ::testing::ValuesIn(kStrategyCases), strategy_name);
 
 // ---- corpus differential: all 62 CBs, coalesce on vs off ----
 
@@ -224,6 +228,51 @@ TEST_P(CoalesceCorpusTest, Slice) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Slices, CoalesceCorpusTest, ::testing::Range(0, 8));
+
+// ---- corpus layout totals per strategy, coalesce on vs off ----
+
+struct LayoutTotals {
+  std::size_t functional = 0;
+  std::size_t jumps_elided = 0;
+  std::uint64_t overflow_bytes = 0;
+  double mean_filesize_overhead = 0;
+};
+
+LayoutTotals layout_totals(PlacementKind placement, bool coalesce) {
+  cgc::EvalOptions opts;
+  opts.rewrite.placement = placement;
+  opts.rewrite.coalesce = coalesce;
+  opts.polls = 2;
+  auto metrics = cgc::evaluate_corpus(cfe_corpus(), opts);
+  EXPECT_TRUE(metrics.ok()) << (metrics.ok() ? "" : metrics.error().message);
+  LayoutTotals t;
+  if (!metrics.ok()) return t;
+  t.mean_filesize_overhead = cgc::mean_overhead(*metrics, &cgc::CbMetrics::filesize_overhead);
+  for (const auto& m : *metrics) {
+    t.functional += m.functional ? 1 : 0;
+    t.jumps_elided += m.rewrite_stats.jumps_elided;
+    t.overflow_bytes += m.rewrite_stats.overflow_bytes;
+  }
+  return t;
+}
+
+// Coalescing fires wherever it is on, elides nothing where it is off, and
+// never costs overflow area or file size over the whole corpus.
+class CoalesceLayoutTest : public ::testing::TestWithParam<DiffCase> {};
+
+TEST_P(CoalesceLayoutTest, CorpusTotals) {
+  const LayoutTotals on = layout_totals(GetParam().placement, true);
+  const LayoutTotals off = layout_totals(GetParam().placement, false);
+  EXPECT_EQ(on.functional, cfe_corpus().size());
+  EXPECT_EQ(off.functional, cfe_corpus().size());
+  EXPECT_GT(on.jumps_elided, 0u);
+  EXPECT_EQ(off.jumps_elided, 0u);
+  EXPECT_LE(on.overflow_bytes, off.overflow_bytes);
+  EXPECT_LE(on.mean_filesize_overhead, off.mean_filesize_overhead + 1e-9);
+}
+
+INSTANTIATE_TEST_SUITE_P(Strategies, CoalesceLayoutTest,
+                         ::testing::ValuesIn(kStrategyCases), strategy_name);
 
 // ---- shared reference-width policy (pins, continuations, emit paths) ----
 

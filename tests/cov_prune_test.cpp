@@ -8,6 +8,7 @@
 #include <utility>
 
 #include "cgc/exploits.h"
+#include "cgc/metrics.h"
 #include "fuzz/fuzzer.h"
 #include "testing_util.h"
 
@@ -147,6 +148,56 @@ TEST(CovPrune, PrunedEmitsFewerProbesSameBehaviour) {
       expect_equivalent(img, on.image, /*input=*/{}, /*seed=*/99);
     }
   }
+}
+
+// ---- corpus overhead: null vs cov vs cov-block ----
+
+// Execution-overhead ceilings over the 62-CB corpus (cycle counts, so
+// deterministic). Edge mode measures 0.3007; its ceiling is that figure
+// plus 25 %. Block mode measures 0.1507.
+constexpr double kMaxCovExecOverhead = 0.37589;
+constexpr double kMaxCovBlockExecOverhead = 0.30;
+// The CFG analysis prunes or collapses about 29 % of candidate probe
+// sites; below this floor the dominator rules stopped firing.
+constexpr double kMinPruneRate = 0.25;
+
+struct CorpusOverhead {
+  std::size_t functional = 0;
+  double exec = 0;
+  transform::InstrumentationStats instr;  ///< summed over the corpus
+};
+
+CorpusOverhead corpus_overhead(std::vector<std::string> transforms) {
+  cgc::EvalOptions opts;
+  opts.rewrite.transforms = std::move(transforms);
+  opts.polls = 2;
+  auto metrics = cgc::evaluate_corpus(cgc::cfe_corpus(), opts);
+  EXPECT_TRUE(metrics.ok()) << (metrics.ok() ? "" : metrics.error().message);
+  CorpusOverhead o;
+  if (!metrics.ok()) return o;
+  o.exec = cgc::mean_overhead(*metrics, &cgc::CbMetrics::exec_overhead);
+  for (const auto& m : *metrics) {
+    o.functional += m.functional ? 1 : 0;
+    o.instr += m.instrumentation;
+  }
+  return o;
+}
+
+TEST(CovOverhead, CorpusStaysFunctionalUnderTheCeilings) {
+  const CorpusOverhead null = corpus_overhead({});
+  const CorpusOverhead edge = corpus_overhead({"cov"});
+  const CorpusOverhead block = corpus_overhead({"cov-block"});
+  const std::size_t corpus = cgc::cfe_corpus().size();
+  EXPECT_EQ(null.functional, corpus);
+  EXPECT_EQ(edge.functional, corpus);
+  EXPECT_EQ(block.functional, corpus);
+
+  EXPECT_GT(edge.exec, null.exec) << "cov instrumentation costs nothing measurable";
+  EXPECT_LE(block.exec, edge.exec + 1e-9) << "block mode is slower than edge mode";
+  EXPECT_LE(edge.exec, kMaxCovExecOverhead);
+  EXPECT_LT(block.exec, kMaxCovBlockExecOverhead);
+  EXPECT_GE(edge.instr.prune_rate(), kMinPruneRate);
+  EXPECT_GE(block.instr.prune_rate(), kMinPruneRate);
 }
 
 // ---- differential bug rediscovery ----

@@ -132,6 +132,19 @@ TEST(FarmInvariance, WorkerCountDoesNotChangeResults) {
   expect_same_results(serial, oversub, "jobs 1 vs 16");
 }
 
+// The full-size campaign: 20,000 execs, one lane thread per shard.
+TEST(FarmInvariance, LongCampaignIsIdenticalAtOneToEightShards) {
+  auto campaign = [](std::size_t shards) {
+    FarmOptions opts = small_campaign(shards, static_cast<int>(shards));
+    opts.max_execs = 20000;
+    return must_campaign(opts);
+  };
+  const FarmResult one = campaign(1);
+  expect_same_results(one, campaign(2), "shards 1 vs 2");
+  expect_same_results(one, campaign(4), "shards 1 vs 4");
+  expect_same_results(one, campaign(8), "shards 1 vs 8");
+}
+
 // ---- cross-shard dedup ----
 
 TEST(FarmDedup, DuplicateCrashesCarryDeterministicWinner) {
@@ -175,6 +188,30 @@ TEST(FarmDedup, CrashesSortedByKeyAndReplayOnOriginal) {
     replays |= !replay.exited && replay.fault != vm::Fault::kGasExhausted;
   }
   EXPECT_TRUE(replays) << "no winner input reproduces on the original";
+}
+
+// The magic-gated CB through a 4-shard farm: laf's split compares carry
+// the gradient that plain coverage lacks (see laf_test's differential).
+TEST(FarmRediscovery, LafCovFindsTheMagicGatedBugAtFourShards) {
+  const auto vulns = cgc::vulnerable_corpus();
+  auto magic = std::find_if(vulns.begin(), vulns.end(),
+                            [](const cgc::VulnCb& v) { return v.name == "vuln_magic"; });
+  ASSERT_NE(magic, vulns.end());
+  RewriteOptions instrument;
+  instrument.transforms = {"laf", "cov"};
+  FarmOptions opts;
+  opts.seed = 7;
+  opts.shards = 4;
+  opts.max_execs = 8000;
+  auto res = run_campaign(must_rewrite(magic->image, instrument).image,
+                          {magic->benign_input}, opts);
+  ASSERT_TRUE(res.ok()) << res.error().message;
+  bool replays = false;
+  for (const auto& c : res->crashes) {
+    auto replay = vm::run_program(magic->image, c.crash.input);
+    replays |= !replay.exited && replay.fault != vm::Fault::kGasExhausted;
+  }
+  EXPECT_TRUE(replays) << "laf+cov farm missed the magic-gated bug";
 }
 
 // ---- stats accounting ----

@@ -325,6 +325,7 @@ TEST(Fuzzer, RediscoversEveryPlantedBug) {
       replays |= !replay.exited && replay.fault != vm::Fault::kGasExhausted;
     }
     EXPECT_TRUE(replays) << vuln.name << ": no crash replays on the uninstrumented binary";
+    EXPECT_GT(result->stats.map_indices_hit, 0u) << vuln.name << ": coverage map stayed dead";
     // Satellite visibility: every admission/crash is attributed to a
     // stage, and the seed stage accounts for exactly the seed entries.
     const auto& st = result->stats.stages;
@@ -359,6 +360,49 @@ TEST(Fuzzer, TrimsUnreadTailOffSeeds) {
   ASSERT_TRUE(result.ok());
   ASSERT_GE(result->corpus.size(), 1u);
   EXPECT_EQ(result->corpus[0].input.size(), 8u);
+}
+
+// Why a trimmed admission needs no proof run: receive() returns
+// min(count, available), so a run that left input unread got every byte it
+// asked for, and the same run on the input cut to input_bytes_consumed
+// receives the same bytes. admit() trims only non-crashing runs with
+// consumed < size; wherever that rule trims a planted CB's benign input
+// plus a tail, the cut input must reproduce the full run exactly.
+TEST(Fuzzer, TrimmedInputReplaysTheFullRun) {
+  std::size_t trimmed = 0;
+  for (const auto& vuln : cgc::vulnerable_corpus()) {
+    RewriteOptions opts;
+    opts.transforms = vuln.laf_gated ? std::vector<std::string>{"laf", "cov"}
+                                     : std::vector<std::string>{"cov"};
+    Executor ex(must_rewrite(vuln.image, opts).image);
+    Bytes input = vuln.benign_input;
+    input.insert(input.end(), 64, 0xa5);
+
+    auto full = ex.execute(input, 7);
+    ASSERT_TRUE(full.ok()) << vuln.name;
+    const std::size_t consumed = full->run.input_bytes_consumed;
+    if (full->crashed || consumed == input.size()) continue;  // admit() keeps it whole
+    ++trimmed;
+
+    auto cut = ex.execute(ByteView(input.data(), consumed), 7);
+    ASSERT_TRUE(cut.ok()) << vuln.name;
+    const vm::RunResult& a = full->run;
+    const vm::RunResult& b = cut->run;
+    EXPECT_EQ(a.exited, b.exited) << vuln.name;
+    EXPECT_EQ(a.exit_status, b.exit_status) << vuln.name;
+    EXPECT_EQ(a.fault, b.fault) << vuln.name;
+    EXPECT_EQ(a.fault_pc, b.fault_pc) << vuln.name;
+    EXPECT_EQ(a.stats.insns, b.stats.insns) << vuln.name;
+    EXPECT_EQ(a.stats.cycles, b.stats.cycles) << vuln.name;
+    EXPECT_EQ(a.stats.syscalls, b.stats.syscalls) << vuln.name;
+    EXPECT_EQ(a.stats.max_rss_pages, b.stats.max_rss_pages) << vuln.name;
+    EXPECT_EQ(a.output, b.output) << vuln.name;
+    EXPECT_EQ(b.input_bytes_consumed, consumed) << vuln.name;
+    EXPECT_EQ(full->map, cut->map) << vuln.name;
+  }
+  // vuln_stack reads up to 256 bytes into a 32-byte frame, so the tail
+  // crashes it; the other three leave the tail unread.
+  EXPECT_EQ(trimmed, 3u);
 }
 
 TEST(Fuzzer, CrashTriageDeduplicates) {

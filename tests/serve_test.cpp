@@ -23,6 +23,7 @@
 #include <cstring>
 
 #include "batch/worker_pool.h"
+#include "cgc/generator.h"
 #include "serve/cache.h"
 #include "serve/delta.h"
 #include "serve/engine.h"
@@ -725,6 +726,174 @@ TEST(ServeEngine, ConcurrentHandleStormOverRecycledWorkspacesMatchesSyncHandle) 
   // off every other request was served from the cache it populated.
   EXPECT_GE(stats.cold, static_cast<std::uint64_t>(kVariants * kRounds));
   EXPECT_EQ(stats.cold + stats.cache_hits, total);
+}
+
+// ---- serve engine: the 62-CB corpus ----
+
+std::vector<Bytes> corpus_inputs() {
+  std::vector<Bytes> corpus;
+  for (const auto& spec : cgc::cfe_corpus()) {
+    auto cb = cgc::generate_cb(spec);
+    EXPECT_TRUE(cb.ok()) << spec.name;
+    if (cb.ok()) corpus.push_back(zelf::write_image(cb->image));
+  }
+  return corpus;
+}
+
+/// Flip the last byte of the last non-text segment that has file bytes
+/// (a changed blob or version tag), or of the first text segment.
+Bytes flip_last_byte(const Bytes& input, bool text) {
+  auto img = zelf::read_image(input);
+  EXPECT_TRUE(img.ok());
+  zelf::Segment* victim = nullptr;
+  for (auto& seg : img->segments) {
+    if (seg.bytes.empty() || seg.executable() != text) continue;
+    victim = &seg;
+    if (text) break;
+  }
+  EXPECT_NE(victim, nullptr);
+  if (victim != nullptr) victim->bytes.back() ^= 0x01;
+  return zelf::write_image(*img);
+}
+
+TEST(ServeCorpus, WarmHitsAndDeltaRepliesMatchDirectRewrites) {
+  const std::vector<Bytes> corpus = corpus_inputs();
+  RewriteOptions opts;
+  ServeEngine engine;
+
+  std::vector<Bytes> cold;
+  for (const Bytes& input : corpus) {
+    auto r = engine.handle(input, opts);
+    ASSERT_TRUE(r.ok()) << r.error().message;
+    EXPECT_EQ(r->source, Source::kCold);
+    cold.push_back(std::move(r->output));
+  }
+  for (std::size_t i = 0; i < corpus.size(); ++i) {
+    auto r = engine.handle(corpus[i], opts);
+    ASSERT_TRUE(r.ok()) << r.error().message;
+    EXPECT_EQ(r->source, Source::kCacheHit) << "CB " << i;
+    EXPECT_EQ(r->output, cold[i]) << "CB " << i;
+  }
+
+  // Each CB resubmitted with one data byte flipped: whichever path answers,
+  // the bytes are those of a direct rewrite, and the delta path answers at
+  // least 10 of the 62 (32 at the time of writing).
+  std::size_t delta_hits = 0;
+  for (const Bytes& input : corpus) {
+    const Bytes mutated = flip_last_byte(input, /*text=*/false);
+    auto r = engine.handle(mutated, opts);
+    ASSERT_TRUE(r.ok()) << r.error().message;
+    if (r->source == Source::kDeltaHit) ++delta_hits;
+    EXPECT_EQ(r->output, cold_reference(mutated, opts));
+  }
+  EXPECT_GE(delta_hits, 10u);
+
+  // A text byte never rides the delta path (it may fail to rewrite).
+  for (std::size_t i = 0; i < corpus.size(); i += 8) {
+    auto r = engine.handle(flip_last_byte(corpus[i], /*text=*/true), opts);
+    EXPECT_FALSE(r.ok() && r->source == Source::kDeltaHit) << "CB " << i;
+  }
+}
+
+/// The micro suite's synthetic large binary at `scale` (x10 is about 1 MB
+/// of text), with segments moved past the default 2 MB text/rodata gap so
+/// the rewritten text fits.
+Bytes synthetic_large(int scale) {
+  cgc::CbSpec spec;
+  spec.name = "synthetic-large-x" + std::to_string(scale);
+  spec.seed = 99;
+  spec.handlers = 24;
+  spec.dispatch = cgc::DispatchMode::kFptrTable;
+  spec.filler_funcs = 48 * scale;
+  spec.filler_ops = 24;
+  spec.straightline = 600 * scale;
+  spec.scratch_pages = 4;
+  spec.data_in_text = true;
+  spec.payload_max = 12;
+  std::vector<int> payload_len;
+  auto src = cgc::generate_cb_source(spec, &payload_len);
+  EXPECT_TRUE(src.ok());
+  assembler::Options aopts;
+  aopts.emit_symbols = false;
+  aopts.rodata_base = 0x4000000;
+  aopts.data_base = 0x4100000;
+  aopts.bss_base = 0x4180000;
+  auto img = assembler::assemble(*src, aopts);
+  EXPECT_TRUE(img.ok()) << (img.ok() ? "" : img.error().message);
+  return zelf::write_image(*img);
+}
+
+TEST(ServeCorpus, ColdStartMatchesRecycledWorkspacesAndAFreshThread) {
+  const Bytes input = synthetic_large(10);
+  RewriteOptions opts;
+  ServeEngine engine;
+  auto first = engine.handle(input, opts);
+  ASSERT_TRUE(first.ok()) << first.error().message;
+  EXPECT_EQ(first->source, Source::kCold);
+  for (int rep = 0; rep < 5; ++rep) {
+    engine.clear_cache();
+    auto r = engine.handle(input, opts);
+    ASSERT_TRUE(r.ok()) << r.error().message;
+    EXPECT_EQ(r->source, Source::kCold);
+    EXPECT_EQ(r->output, first->output) << "recycled workspace drifted on request " << rep;
+  }
+  EXPECT_EQ(cold_reference(input, opts), first->output);
+}
+
+TEST(ServeCorpus, PersistedSliceSurvivesRestartAndCorruption) {
+  const std::vector<Bytes> corpus = corpus_inputs();
+  std::vector<std::size_t> slice;
+  for (std::size_t i = 0; i < corpus.size(); i += 4) slice.push_back(i);
+  ASSERT_EQ(slice.size(), 16u);
+  const std::string path = temp_cache_path("corpus");
+  std::remove(path.c_str());
+  RewriteOptions opts;
+  ServeOptions sopts;
+  sopts.cache_file = path;
+
+  std::vector<Bytes> cold;
+  {
+    ServeEngine a(sopts);
+    for (std::size_t i : slice) {
+      auto r = a.handle(corpus[i], opts);
+      ASSERT_TRUE(r.ok()) << r.error().message;
+      EXPECT_EQ(r->source, Source::kCold);
+      cold.push_back(std::move(r->output));
+    }
+  }
+  {
+    ServeEngine b(sopts);  // a restart on the same file
+    for (std::size_t k = 0; k < slice.size(); ++k) {
+      auto r = b.handle(corpus[slice[k]], opts);
+      ASSERT_TRUE(r.ok()) << r.error().message;
+      EXPECT_EQ(r->source, Source::kCacheHit) << "request " << k;
+      EXPECT_EQ(r->output, cold[k]) << "request " << k;
+    }
+  }
+
+  // Flip a byte mid-file: replay stops at the damaged record, and the
+  // requests behind it fall back to cold with the same bytes.
+  std::FILE* f = std::fopen(path.c_str(), "r+b");
+  ASSERT_NE(f, nullptr);
+  ASSERT_EQ(std::fseek(f, 0, SEEK_END), 0);
+  const long size = std::ftell(f);
+  ASSERT_EQ(std::fseek(f, size / 2, SEEK_SET), 0);
+  const int c = std::fgetc(f);
+  ASSERT_NE(c, EOF);
+  ASSERT_EQ(std::fseek(f, size / 2, SEEK_SET), 0);
+  std::fputc(c ^ 0x01, f);
+  std::fclose(f);
+
+  ServeEngine damaged(sopts);
+  std::size_t cold_fallbacks = 0;
+  for (std::size_t k = 0; k < slice.size(); ++k) {
+    auto r = damaged.handle(corpus[slice[k]], opts);
+    ASSERT_TRUE(r.ok()) << r.error().message;
+    if (r->source == Source::kCold) ++cold_fallbacks;
+    EXPECT_EQ(r->output, cold[k]) << "request " << k;
+  }
+  EXPECT_GE(cold_fallbacks, 1u);
+  std::remove(path.c_str());
 }
 
 // ---- socket front end ----

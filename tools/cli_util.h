@@ -14,7 +14,10 @@
 
 namespace zipr::cli {
 
-/// Flag-style argument list: positionals plus --key[=value] options.
+/// Flag-style argument list: positionals plus --key[=value] options. A
+/// value is only ever taken from `--key=value`: the word after a bare
+/// `--key` is a positional, so check_flags() rejects value-taking flags
+/// given bare before any positional count picks a mode.
 class Args {
  public:
   Args(int argc, char** argv) {
@@ -23,9 +26,6 @@ class Args {
       if (a.rfind("--", 0) == 0) {
         auto eq = a.find('=');
         if (eq == std::string::npos) {
-          // `--key value` when a value follows and is not itself a flag
-          // AND the caller asks for it via value(); store as bare flag
-          // with optional lookahead value.
           flags_.emplace_back(a.substr(2), std::nullopt);
         } else {
           flags_.emplace_back(a.substr(2, eq - 2), a.substr(eq + 1));
@@ -61,15 +61,9 @@ class Args {
 
   const std::vector<std::string>& positional() const { return positional_; }
 
-  /// Flags the tool does not know about; callers reject them.
-  std::vector<std::string> unknown(const std::vector<std::string>& known) const {
-    std::vector<std::string> out;
-    for (const auto& [k, v] : flags_) {
-      bool ok = false;
-      for (const auto& good : known) ok |= k == good;
-      if (!ok) out.push_back(k);
-    }
-    return out;
+  /// Every flag as given: its key, and its value unless it was bare.
+  const std::vector<std::pair<std::string, std::optional<std::string>>>& flags() const {
+    return flags_;
   }
 
  private:
@@ -97,18 +91,27 @@ inline bool write_file(const std::string& path, const std::string& data) {
   std::exit(2);
 }
 
-inline void reject_unknown(const Args& args, const std::vector<std::string>& known) {
-  auto bad = args.unknown(known);
-  if (!bad.empty()) die("unknown option --" + bad.front());
+/// Die on the first flag the tool does not know, or on a value-taking flag
+/// given bare. `known` names each flag; a trailing '=' marks one that takes
+/// a value ("out=" for --out=<path>), the rest are booleans.
+inline void check_flags(const Args& args, const std::vector<std::string>& known) {
+  for (const auto& [key, value] : args.flags()) {
+    const std::string* match = nullptr;
+    for (const auto& k : known)
+      if (k == key || k == key + "=") match = &k;
+    if (match == nullptr) die("unknown option --" + key);
+    if (match->back() == '=' && !value)
+      die("--" + key + " requires a value (--" + key + "=...)");
+  }
 }
 
-/// Strictly-parsed unsigned integer flag. Unlike Args::value_u64 (which
-/// strtoull's whatever it is given and silently yields 0 or a wrapped
-/// value), malformed text, trailing garbage, signs, and out-of-range
-/// values all die with the offending text, so `--jobs=banana` or
-/// `--seed=-1` can never be mistaken for a configuration. `min` lets
-/// flags where zero is meaningless (--shards=0) reject it by name
-/// instead of tripping some distant divide or empty-pool hang.
+/// Strictly-parsed unsigned integer flag. Unlike a bare strtoull (which
+/// silently yields 0 or a wrapped value), malformed text, trailing
+/// garbage, signs, and out-of-range values all die with the offending
+/// text, so `--jobs=banana` or `--seed=-1` can never be mistaken for a
+/// configuration. `min` lets flags where zero is meaningless (--shards=0)
+/// reject it by name instead of tripping some distant divide or
+/// empty-pool hang.
 inline std::uint64_t checked_u64(const Args& args, const std::string& key,
                                  std::uint64_t fallback,
                                  std::uint64_t max = UINT64_MAX,

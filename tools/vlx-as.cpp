@@ -8,7 +8,7 @@
 int main(int argc, char** argv) {
   using namespace zipr;
   cli::Args args(argc, argv);
-  cli::reject_unknown(args, {"out", "no-symbols", "help"});
+  cli::check_flags(args, {"out=", "no-symbols", "help"});
   if (args.has("help") || args.positional().size() != 1) {
     std::printf("usage: vlx-as <input.s> --out=<prog.zelf> [--no-symbols]\n");
     return args.has("help") ? 0 : 2;

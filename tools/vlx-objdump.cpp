@@ -11,7 +11,7 @@
 int main(int argc, char** argv) {
   using namespace zipr;
   cli::Args args(argc, argv);
-  cli::reject_unknown(args, {"disasm", "no-symbols", "help"});
+  cli::check_flags(args, {"disasm=", "no-symbols", "help"});
   if (args.has("help") || args.positional().size() != 1) {
     std::printf("usage: vlx-objdump <prog.zelf> [--disasm=linear|traversal|none] [--no-symbols]\n");
     return args.has("help") ? 0 : 2;

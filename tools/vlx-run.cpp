@@ -14,8 +14,8 @@
 int main(int argc, char** argv) {
   using namespace zipr;
   cli::Args args(argc, argv);
-  cli::reject_unknown(args, {"lib", "input", "input-hex", "seed", "max-insns", "stats",
-                             "trace", "hex-output", "help"});
+  cli::check_flags(args, {"lib=", "input=", "input-hex=", "seed=", "max-insns=", "stats",
+                          "trace", "hex-output", "help"});
   if (args.has("help") || args.positional().size() != 1) {
     std::printf(
         "usage: vlx-run <prog.zelf> [--lib=<lib.zelf>]... [--input=<file>]\n"

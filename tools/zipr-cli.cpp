@@ -46,10 +46,11 @@
 namespace {
 
 // Rewrite-configuration flags shared by single-binary, batch, submit and
-// fuzz modes; every numeric flag is strictly parsed (cli::checked_u64).
+// fuzz modes (cli::check_flags spelling: "key=" takes a value); every
+// numeric flag is strictly parsed (cli::checked_u64).
 const std::vector<std::string> kRewriteFlags = {
-    "transform", "placement", "seed",          "coalesce",  "no-coalesce",
-    "cov-prune", "no-cov-prune", "pin-call-returns", "naive-pins"};
+    "transform=", "placement=", "seed=",          "coalesce",  "no-coalesce",
+    "cov-prune",  "no-cov-prune", "pin-call-returns", "naive-pins"};
 
 zipr::RewriteOptions parse_rewrite_options(const zipr::cli::Args& args) {
   using namespace zipr;
@@ -85,8 +86,8 @@ std::vector<std::string> with_flags(std::vector<std::string> base,
 
 int run_serve(const zipr::cli::Args& args) {
   using namespace zipr;
-  cli::reject_unknown(args, {"socket", "jobs", "cache-mb", "no-delta", "max-delta-pages",
-                             "max-requests", "cache-file"});
+  cli::check_flags(args, {"socket=", "jobs=", "cache-mb=", "no-delta", "max-delta-pages=",
+                          "max-requests=", "cache-file="});
   auto socket_path = args.value("socket");
   if (!socket_path) cli::die("serve mode requires --socket=<path>");
 
@@ -131,7 +132,7 @@ int run_serve(const zipr::cli::Args& args) {
 
 int run_submit(const zipr::cli::Args& args) {
   using namespace zipr;
-  cli::reject_unknown(args, with_flags(kRewriteFlags, {"socket", "out"}));
+  cli::check_flags(args, with_flags(kRewriteFlags, {"socket=", "out="}));
   if (args.positional().size() != 2)
     cli::die("submit mode takes exactly one input image: zipr-cli submit <input.zelf>");
   auto socket_path = args.value("socket");
@@ -269,8 +270,8 @@ int run_farm(const zipr::cli::Args& args, const zipr::zelf::Image& instrumented,
 
 int run_fuzz(const zipr::cli::Args& args) {
   using namespace zipr;
-  cli::reject_unknown(args,
-                      with_flags(kRewriteFlags, {"runs", "jobs", "input", "crash-dir", "shards"}));
+  cli::check_flags(args, with_flags(kRewriteFlags,
+                                    {"runs=", "jobs=", "input=", "crash-dir=", "shards="}));
   if (args.positional().size() != 2)
     cli::die("fuzz mode takes exactly one input image: zipr-cli fuzz <input.zelf>");
 
@@ -339,9 +340,8 @@ int main(int argc, char** argv) {
   if (!args.positional().empty() && args.positional()[0] == "fuzz") return run_fuzz(args);
   if (!args.positional().empty() && args.positional()[0] == "serve") return run_serve(args);
   if (!args.positional().empty() && args.positional()[0] == "submit") return run_submit(args);
-  cli::reject_unknown(args, with_flags(kRewriteFlags, {"out", "out-dir", "jobs", "stats",
-                                                       "dump-ir", "list-transforms",
-                                                       "help"}));
+  cli::check_flags(args, with_flags(kRewriteFlags, {"out=", "out-dir=", "jobs=", "stats",
+                                                    "dump-ir=", "list-transforms", "help"}));
 
   if (args.has("list-transforms")) {
     for (const auto& name : transform::registered_transforms()) std::printf("%s\n", name.c_str());
