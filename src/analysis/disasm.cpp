@@ -78,11 +78,8 @@ void sweep_run(const zelf::Segment& text, std::vector<AddrInsnMap::value_type>* 
 
 }  // namespace
 
-DisasmResult linear_sweep(const zelf::Segment& text,
-                          std::vector<AddrInsnMap::value_type>* claims_scratch) {
-  std::vector<AddrInsnMap::value_type> local;
-  std::vector<AddrInsnMap::value_type> v = std::move(claims_scratch ? *claims_scratch : local);
-  v.clear();
+DisasmResult linear_sweep(const zelf::Segment& text) {
+  std::vector<AddrInsnMap::value_type> v;
   v.reserve(text.bytes.size() / 4);
   sweep_run(text, &v);
   DisasmResult out;
@@ -320,8 +317,8 @@ TraversalResult recursive_traversal(const zelf::Image& image, const TraversalOpt
 
 namespace {
 
-Aggregate aggregate_impl(const zelf::Segment& text, const DisasmResult& linear,
-                         AddrInsnMap code_insns, IntervalSet definite_code) {
+Aggregate aggregate_impl(const zelf::Segment& text, AddrInsnMap code_insns,
+                         IntervalSet definite_code) {
   Aggregate out;
   out.code_insns = std::move(code_insns);
   out.definite_code = std::move(definite_code);
@@ -331,28 +328,75 @@ Aggregate aggregate_impl(const zelf::Segment& text, const DisasmResult& linear,
   const std::uint64_t lo = text.vaddr;
   const std::uint64_t hi = text.vaddr + text.bytes.size();
   out.ambiguous.insert(lo, hi);
-  for (const auto& iv : out.definite_code.intervals()) out.ambiguous.erase(iv.begin, iv.end);
-
-  // Count active disagreements: ambiguous ranges where linear sweep claims
-  // decodable instructions (the paper's Case 3, engines disagree).
-  for (const auto& iv : out.ambiguous.intervals()) {
-    auto it = linear.insns.lower_bound(iv.begin);
-    if (it != linear.insns.end() && it->first < iv.end) ++out.disagreements;
-  }
+  for (const auto& iv : out.definite_code) out.ambiguous.erase(iv.begin, iv.end);
   return out;
+}
+
+/// The Case 3 count without the sweep's table: follow the linear sweep's
+/// position, decoding only where it can matter. Definite code is tiled by
+/// non-overlapping traversal claims, so once the sweep lands on a claim
+/// start it decodes exactly those claims up to the end of the definite
+/// interval, and none of them starts in an ambiguous range: jump there.
+/// Anywhere else (gaps, and misaligned stretches inside definite code
+/// until they resynchronize) the sweep is replayed byte for byte.
+std::size_t count_disagreements(const zelf::Segment& text, const Aggregate& agg) {
+  const AddrInsnMap& claims = agg.code_insns;
+  const IntervalSet& definite = agg.definite_code;
+  const std::uint64_t limit = text.vaddr + text.bytes.size();
+  // The definite interval at or after the sweep position; past the last
+  // one, an empty sentinel at the limit.
+  auto iv = definite.begin();
+  auto next_interval = [&] { return iv != definite.end() ? *iv++ : Interval{limit, limit}; };
+  Interval cur = next_interval();
+  auto claim = claims.begin();
+  std::uint64_t counted_to = text.vaddr;  // the gap below this one is counted
+  std::size_t count = 0;
+  isa::Insn insn;
+  for (std::uint64_t addr = text.vaddr; addr < limit;) {
+    while (cur.end <= addr) cur = next_interval();
+    const bool in_definite = cur.begin <= addr;
+    if (in_definite) {
+      claim = std::lower_bound(claim, claims.end(), addr,
+                               [](const AddrInsnMap::value_type& c, std::uint64_t a) {
+                                 return c.first < a;
+                               });
+      if (claim != claims.end() && claim->first == addr) {
+        addr = cur.end;
+        continue;
+      }
+    }
+    if (!decode_at(text, addr, insn)) {
+      ++addr;
+      continue;
+    }
+    if (!in_definite && addr >= counted_to) {
+      ++count;
+      counted_to = cur.begin;
+    }
+    addr += insn.length;
+  }
+  return count;
 }
 
 }  // namespace
 
 Aggregate aggregate(const zelf::Segment& text, const DisasmResult& linear,
                     const TraversalResult& recursive) {
-  return aggregate_impl(text, linear, recursive.dis.insns, recursive.dis.code);
+  Aggregate out = aggregate_impl(text, recursive.dis.insns, recursive.dis.code);
+  // Count active disagreements: ambiguous ranges where linear sweep claims
+  // decodable instructions (the paper's Case 3, engines disagree).
+  for (const auto& iv : out.ambiguous) {
+    auto it = linear.insns.lower_bound(iv.begin);
+    if (it != linear.insns.end() && it->first < iv.end) ++out.disagreements;
+  }
+  return out;
 }
 
-Aggregate aggregate(const zelf::Segment& text, const DisasmResult& linear,
-                    TraversalResult&& recursive) {
-  return aggregate_impl(text, linear, std::move(recursive.dis.insns),
-                        std::move(recursive.dis.code));
+Aggregate aggregate(const zelf::Segment& text, TraversalResult&& recursive) {
+  Aggregate out =
+      aggregate_impl(text, std::move(recursive.dis.insns), std::move(recursive.dis.code));
+  out.disagreements = count_disagreements(text, out);
+  return out;
 }
 
 }  // namespace zipr::analysis

@@ -28,6 +28,11 @@
 //   Case 4  (mislabeling data as conclusive code) is avoided by only
 //           letting *validated* traversal claim bytes; tentative seeds
 //           whose decode runs fail validation stay in Case 3.
+//
+// In the rewrite pipeline the linear sweep's only product is the Case 3
+// count, and inside definite code it decodes the traversal's own claims,
+// so build_ir never sweeps front to back: aggregate()'s pipeline overload
+// replays the sweep only where it can disagree.
 #pragma once
 
 #include <algorithm>
@@ -120,13 +125,11 @@ struct JumpTable {
 struct AnalysisScratch;  // scratch.h; buffers recycled across rewrites
 
 /// objdump-like engine. Decodes `text` sequentially; after an undecodable
-/// byte it advances one byte and resynchronizes.
-///
-/// `claims_scratch`, if given, donates its capacity to the decode stream
-/// (the vector is moved out and left empty); reclaim it afterwards via
-/// `result.insns.release()`. Never changes the result.
-DisasmResult linear_sweep(const zelf::Segment& text,
-                          std::vector<AddrInsnMap::value_type>* claims_scratch = nullptr);
+/// byte it advances one byte and resynchronizes. The rewrite pipeline
+/// never builds this table (the move overload of aggregate() replays only
+/// the part of the sweep that can disagree); disassembly listings, the
+/// tests and the traced replay do.
+DisasmResult linear_sweep(const zelf::Segment& text);
 
 struct TraversalResult {
   DisasmResult dis;
@@ -162,20 +165,21 @@ struct Aggregate {
   IntervalSet definite_code;
   /// Case 2/3 byte ranges: kept verbatim, also decoded for CFG purposes.
   IntervalSet ambiguous;
-  /// Count of Case 3 decisions where the engines actively disagreed
-  /// (linear sweep decoded bytes that nothing conclusive reaches).
+  /// Count of Case 3 decisions where the engines actively disagreed:
+  /// ambiguous ranges in which the linear sweep starts an instruction.
   std::size_t disagreements = 0;
 };
 
+/// Counts disagreements against the linear sweep's full table.
 Aggregate aggregate(const zelf::Segment& text, const DisasmResult& linear,
                     const TraversalResult& recursive);
 
-/// Move overload for the pipeline hot path: steals `recursive.dis` (a
-/// multi-MB table on big binaries) instead of copying it. The traversal's
-/// metadata fields -- function_entries, jump_tables, indirect_targets,
-/// rejected_seeds -- are NOT consumed and stay valid for compute_pins and
-/// function grouping.
-Aggregate aggregate(const zelf::Segment& text, const DisasmResult& linear,
-                    TraversalResult&& recursive);
+/// Pipeline overload: counts the same disagreements without a sweep table,
+/// replaying the sweep only outside definite code (and wherever it runs
+/// misaligned inside it), and steals `recursive.dis` (a multi-MB table on
+/// big binaries) instead of copying it. The traversal's metadata fields --
+/// function_entries, jump_tables, indirect_targets, rejected_seeds -- are
+/// NOT consumed and stay valid for compute_pins and function grouping.
+Aggregate aggregate(const zelf::Segment& text, TraversalResult&& recursive);
 
 }  // namespace zipr::analysis

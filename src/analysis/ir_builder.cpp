@@ -20,11 +20,11 @@ Result<IrProgram> build_ir(const zelf::Image& image, const AnalysisOptions& opts
   prog.original.symbols.clear();
 
   const zelf::Segment& text = image.text();
-  DisasmResult linear = linear_sweep(text, &scratch->sweep_claims);
   TraversalResult recursive = recursive_traversal(image, opts.traversal, scratch);
   // The move overload steals recursive.dis (the traversal metadata the
-  // later stages read stays valid).
-  Aggregate agg = aggregate(text, linear, std::move(recursive));
+  // later stages read stays valid) and replays the linear sweep only where
+  // it can disagree with the traversal.
+  Aggregate agg = aggregate(text, std::move(recursive));
   PinSet pins = compute_pins(image, agg, recursive, opts.pinning);
 
   // The database references original bytes as views into one retained
@@ -42,8 +42,8 @@ Result<IrProgram> build_ir(const zelf::Image& image, const AnalysisOptions& opts
                ? row_at[addr - text.vaddr]
                : kNullInsn;
   };
-  for (const auto& [addr, insn] : agg.code_insns)
-    row_at[addr - text.vaddr] = prog.db.add_original(insn, addr);
+  InsnId next_row = prog.db.add_originals({agg.code_insns.begin(), agg.code_insns.end()});
+  for (const auto& claim : agg.code_insns) row_at[claim.first - text.vaddr] = next_row++;
   prog.stats.code_insns = agg.code_insns.size();
 
   // ---- link fallthroughs and targets (the mandatory transformation) ----
@@ -166,7 +166,6 @@ Result<IrProgram> build_ir(const zelf::Image& image, const AnalysisOptions& opts
   // are dead at this point: the database copied what it keeps. On the
   // early error returns above the buffers simply die with their locals and
   // the scratch re-reserves next time -- a cost, never a correctness issue.
-  scratch->sweep_claims = linear.insns.release();
   scratch->code_claims = agg.code_insns.release();
   scratch->row_at = std::move(row_at);
   scratch->entry_rows = std::move(entry_rows);

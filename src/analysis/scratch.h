@@ -1,11 +1,10 @@
 // Recyclable scratch buffers for one IR-construction pass.
 //
 // A cold rewrite of a multi-MB binary builds several text-proportional
-// tables that die with the pass: the linear sweep's claim vector, the
-// traversal's per-byte state bitmap and sorted claim table, and the IR
-// builder's dense offset->row map plus function-grouping marks. On a
-// long-lived serve/batch worker those allocations (and their page faults)
-// repeat for every request. AnalysisScratch owns the backing buffers so a
+// tables that die with the pass: the traversal's per-byte state bitmap
+// and sorted claim table, and the IR builder's dense offset->row map plus
+// function-grouping marks. On a long-lived serve/batch worker those
+// allocations (and their page faults) repeat for every request. AnalysisScratch owns the backing buffers so a
 // worker can hand the SAME storage to successive rewrites: build_ir()
 // borrows each buffer by move, sizes it for the current input (capacity
 // retained), and moves it back before returning.
@@ -25,10 +24,8 @@
 namespace zipr::analysis {
 
 struct AnalysisScratch {
-  /// Linear sweep's decode stream (build_ir reclaims it from the sweep's
-  /// AddrInsnMap once the aggregate no longer needs it).
-  std::vector<AddrInsnMap::value_type> sweep_claims;
-  /// Recursive traversal's sorted claim table (reclaimed the same way).
+  /// Recursive traversal's sorted claim table (build_ir reclaims it from
+  /// the aggregate's AddrInsnMap once the database has copied the rows).
   std::vector<AddrInsnMap::value_type> code_claims;
   /// Traversal per-text-byte claim/coverage bitmap.
   std::vector<std::uint8_t> byte_state;
@@ -45,8 +42,7 @@ struct AnalysisScratch {
 
   /// Bytes the buffers currently HOLD (capacity): what recycling pins.
   std::size_t retained_bytes() const {
-    return sweep_claims.capacity() * sizeof(AddrInsnMap::value_type) +
-           code_claims.capacity() * sizeof(AddrInsnMap::value_type) +
+    return code_claims.capacity() * sizeof(AddrInsnMap::value_type) +
            byte_state.capacity() * sizeof(std::uint8_t) +
            row_at.capacity() * sizeof(irdb::InsnId) + entry_rows.capacity() / 8 +
            work.capacity() * sizeof(irdb::InsnId) +
@@ -57,8 +53,7 @@ struct AnalysisScratch {
   /// Bytes the LAST pass actually needed (sizes): the demand signal the
   /// workspace trim policy compares retained capacity against.
   std::size_t used_bytes() const {
-    return sweep_claims.size() * sizeof(AddrInsnMap::value_type) +
-           code_claims.size() * sizeof(AddrInsnMap::value_type) +
+    return code_claims.size() * sizeof(AddrInsnMap::value_type) +
            byte_state.size() * sizeof(std::uint8_t) +
            row_at.size() * sizeof(irdb::InsnId) + entry_rows.size() / 8 +
            work.size() * sizeof(irdb::InsnId) +
@@ -73,7 +68,6 @@ struct AnalysisScratch {
   /// assignment, which clears but keeps the capacity.)
   void trim() {
     auto release = [](auto& v) { std::remove_reference_t<decltype(v)>().swap(v); };
-    release(sweep_claims);
     release(code_claims);
     release(byte_state);
     release(row_at);

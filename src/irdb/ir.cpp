@@ -80,12 +80,29 @@ InsnId Database::add_new(const isa::Insn& decoded) {
                   kNullFunc, false);
 }
 
-InsnId Database::add_original(const isa::Insn& decoded, std::uint64_t addr) {
-  assert(backing_len_ != 0 && addr >= backing_vaddr_ &&
-         addr - backing_vaddr_ + decoded.length <= backing_len_);
-  OrigView v{static_cast<std::uint32_t>(addr - backing_vaddr_), decoded.length};
-  return push_row(decoded, addr, v, kNullInsn, kNullInsn, std::nullopt, std::nullopt,
-                  kNullFunc, false);
+InsnId Database::add_originals(std::span<const std::pair<std::uint64_t, isa::Insn>> lifted) {
+  const std::size_t base = decoded_.size();
+  const std::size_t n = base + lifted.size();
+  // Size every column once; the links, function ids and flags of a lifted
+  // row start null, so those columns are filled by the resize itself.
+  decoded_.resize(n);
+  orig_addr_.resize(n);
+  orig_.resize(n);
+  fallthrough_.resize(n, kNullInsn);
+  target_.resize(n, kNullInsn);
+  abs_target_.resize(n);
+  data_ref_.resize(n);
+  function_.resize(n, kNullFunc);
+  verbatim_.resize(n, 0);
+  for (std::size_t i = 0; i < lifted.size(); ++i) decoded_[base + i] = lifted[i].second;
+  for (std::size_t i = 0; i < lifted.size(); ++i) orig_addr_[base + i] = lifted[i].first;
+  for (std::size_t i = 0; i < lifted.size(); ++i) {
+    const auto& [addr, insn] = lifted[i];
+    assert(backing_len_ != 0 && addr >= backing_vaddr_ &&
+           addr - backing_vaddr_ + insn.length <= backing_len_);
+    orig_[base + i] = {static_cast<std::uint32_t>(addr - backing_vaddr_), insn.length};
+  }
+  return static_cast<InsnId>(base + 1);
 }
 
 InsnId Database::add_verbatim_range(std::uint64_t addr, std::uint32_t len) {

@@ -36,6 +36,7 @@
 #include <cassert>
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -199,10 +200,11 @@ class Database {
   /// semantic form, with no original address.
   InsnId add_new(const isa::Insn& decoded);
 
-  /// Fast path for IR construction: a row lifted from the original image
-  /// at `addr`, whose original bytes are backing[addr .. addr+length).
-  /// No byte copy is made.
-  InsnId add_original(const isa::Insn& decoded, std::uint64_t addr);
+  /// Fast path for IR construction: one row per (addr, decoded) pair, each
+  /// lifted from the original image at `addr` with original bytes
+  /// backing[addr .. addr+length) (no byte copy). The rows take
+  /// consecutive ids; returns the first.
+  InsnId add_originals(std::span<const std::pair<std::uint64_t, isa::Insn>> lifted);
 
   /// Fast path for IR construction: a verbatim row covering the backing
   /// range [addr, addr+len) byte-exactly.

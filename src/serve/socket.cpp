@@ -181,10 +181,26 @@ Status serve_on_socket(ServeEngine& engine, const SocketServerOptions& options) 
   if (listen_fd < 0) return sys_error("socket");
   FdCloser listen_closer{listen_fd};
 
-  ::unlink(options.path.c_str());  // stale socket from a previous run
-  if (::bind(listen_fd, reinterpret_cast<sockaddr*>(&addr), sizeof addr) < 0)
-    return sys_error("bind " + options.path);
-  if (::listen(listen_fd, kListenBacklog) < 0) return sys_error("listen");
+  // bind() creates the socket file before listen() makes it connectable.
+  // Bind a temporary sibling and rename() it into place once it listens,
+  // so a file at options.path always accepts connections; rename also
+  // replaces a stale socket from a previous run atomically. A path too long
+  // for the sibling's suffix binds in place.
+  std::string bound = options.path + "." + std::to_string(::getpid()) + ".tmp";
+  sockaddr_un bound_addr;
+  if (!fill_sockaddr(bound, &bound_addr).ok()) {
+    bound = options.path;
+    bound_addr = addr;
+  }
+  ::unlink(bound.c_str());  // stale file from a previous run
+  if (::bind(listen_fd, reinterpret_cast<sockaddr*>(&bound_addr), sizeof bound_addr) < 0)
+    return sys_error("bind " + bound);
+  if (::listen(listen_fd, kListenBacklog) < 0 ||
+      (bound != options.path && ::rename(bound.c_str(), options.path.c_str()) < 0)) {
+    Error err = sys_error("listen on " + options.path);
+    ::unlink(bound.c_str());
+    return err;
+  }
 
   // Every acceptor loops: claim a ticket, accept, serve. The ticket comes
   // first, so no thread waits in accept() for a connection nobody owes it

@@ -48,7 +48,7 @@ inline constexpr std::chrono::seconds kConnectionDeadline{2};
 inline constexpr std::uint64_t kMinRequestRate = std::uint64_t{64} << 20;
 
 struct SocketServerOptions {
-  std::string path;       ///< filesystem path to bind (unlinked first)
+  std::string path;       ///< filesystem path to bind (replaces a stale file)
   /// Accept and serve exactly this many connections, then return once all
   /// are done; < 0 = run until the process dies. Tests and the smoke
   /// harness use a finite count.
@@ -63,7 +63,10 @@ struct SocketServerOptions {
 std::size_t acceptor_count(int jobs, long max_requests);
 
 /// Bind `options.path` and serve requests against `engine` on
-/// acceptor_count() threads, the calling thread among them. Returns after max_requests exchanges, or
+/// acceptor_count() threads, the calling thread among them. The socket
+/// file appears at `options.path` only once the server listens, so its
+/// existence means a connect succeeds (a path too long for a temporary
+/// sibling name binds in place). Returns after max_requests exchanges, or
 /// on the first fatal socket error once every acceptor has stopped;
 /// per-connection failures are answered in-band and never abort the loop.
 Status serve_on_socket(ServeEngine& engine, const SocketServerOptions& options);

@@ -122,7 +122,7 @@ class MonotonicArena {
   std::size_t next_chunk_size_;  ///< geometric growth schedule
 };
 
-/// A push_back-only array whose storage lives in a MonotonicArena.
+/// A growable array whose storage lives in a MonotonicArena.
 /// Grows geometrically by allocating a larger arena block and copying;
 /// abandoned blocks are reclaimed wholesale at arena reset.
 template <typename T>
@@ -151,10 +151,11 @@ class ArenaVector {
   std::size_t size() const { return size_; }
   bool empty() const { return size_ == 0; }
 
-  /// Drop every element at index >= n (storage stays; the arena reclaims
-  /// abandoned blocks wholesale at reset).
-  void truncate(std::size_t n) {
-    if (n < size_) size_ = n;
+  /// Insert `v` before index `i` (i <= size()), shifting the rest up.
+  void insert(std::size_t i, const T& v) {
+    push_back(v);
+    for (std::size_t j = size_ - 1; j > i; --j) data_[j] = data_[j - 1];
+    data_[i] = v;
   }
 
  private:

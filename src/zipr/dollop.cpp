@@ -1,5 +1,6 @@
 #include "zipr/dollop.h"
 
+#include <algorithm>
 #include <cassert>
 
 #include "isa/insn.h"
@@ -8,7 +9,13 @@ namespace zipr::rewriter {
 
 namespace {
 constexpr std::uint64_t kJumpSize = isa::kJmp32Len;
+
+/// The chain's prefix sums from `d`'s first row on: d's rows [0, i) hold
+/// sums[i] - sums[0] estimated bytes.
+const std::uint64_t* sums_from(const Dollop* d) {
+  return d->chain->prefix + (d->insns.data() - d->chain->rows);
 }
+}  // namespace
 
 std::uint64_t estimated_size(irdb::ConstRowRef row) {
   if (row.verbatim) return row.orig_bytes.size();
@@ -22,16 +29,22 @@ std::uint64_t estimated_size(irdb::ConstRowRef row) {
 
 Dollop* DollopManager::split(Dollop* d, std::size_t pos) {
   assert(pos > 0 && pos < d->insns.size());
-  Dollop* tail = arena_->create<Dollop>(arena_);
-  enroll(tail);
-  for (std::size_t i = pos; i < d->insns.size(); ++i) tail->insns.push_back(d->insns[i]);
+  Dollop* tail = arena_->create<Dollop>();
+  tail->insns = d->insns.subspan(pos);
+  tail->chain = d->chain;
   tail->continuation = d->continuation;
-  d->insns.truncate(pos);
+  d->insns = d->insns.first(pos);
   d->continuation = tail->insns.front();
   ++splits_;
 
-  index(tail);
-  // Head keeps its entries; indices below pos are unchanged.
+  // The tail's rows keep their {chain, position} index entries; only the
+  // chain's boundary list learns the new window.
+  ArenaVector<Dollop*>& parts = d->chain->parts;
+  auto it = std::lower_bound(parts.begin(), parts.end(), d,
+                             [](const Dollop* a, const Dollop* b) {
+                               return a->insns.data() < b->insns.data();
+                             });
+  parts.insert(static_cast<std::size_t>(it - parts.begin()) + 1, tail);
   recompute(d);
   recompute(tail);
   adopt(tail);
@@ -39,15 +52,14 @@ Dollop* DollopManager::split(Dollop* d, std::size_t pos) {
 }
 
 Dollop* DollopManager::split_to_fit(Dollop* d, std::uint64_t max_bytes) {
-  if (d->insns.size() < 2) return nullptr;
-  std::uint64_t used = 0;
-  std::size_t pos = 0;
-  for (std::size_t i = 0; i < d->insns.size(); ++i) {
-    std::uint64_t len = estimated_size(db_.insn(d->insns[i]));
-    if (used + len + kJumpSize > max_bytes) break;
-    used += len;
-    pos = i + 1;
-  }
+  if (d->insns.size() < 2 || max_bytes < kJumpSize) return nullptr;
+  // The head keeps rows [0, pos): the longest prefix whose bytes plus the
+  // split's jump fit. Sizes are non-negative, so the sums are sorted.
+  const std::uint64_t* sums = sums_from(d);
+  const std::uint64_t* first = sums + 1;
+  const std::uint64_t* last = first + d->insns.size();
+  auto pos = static_cast<std::size_t>(
+      std::upper_bound(first, last, sums[0] + max_bytes - kJumpSize) - first);
   if (pos == 0 || pos >= d->insns.size()) return nullptr;
   return split(d, pos);
 }
@@ -57,7 +69,6 @@ Status DollopManager::retire(Dollop* d) {
   if (i >= dollops_.size() || dollops_[i] != d)
     return Error::internal("retire of unknown (or already retired) dollop; slot " +
                            std::to_string(i) + " of " + std::to_string(dollops_.size()));
-  for (irdb::InsnId id : d->insns) clear(id);
   if (i + 1 != dollops_.size()) {
     dollops_[i] = dollops_.back();
     dollops_[i]->slot = i;
@@ -66,16 +77,10 @@ Status DollopManager::retire(Dollop* d) {
   return Status::success();
 }
 
-void DollopManager::index(Dollop* d) {
-  for (std::size_t i = 0; i < d->insns.size(); ++i)
-    set(d->insns[i], d, static_cast<std::uint32_t>(i));
-}
-
 void DollopManager::recompute(Dollop* d) {
-  std::uint64_t size = 0;
-  for (irdb::InsnId id : d->insns) size += estimated_size(db_.insn(id));
-  if (d->continuation != irdb::kNullInsn) size += kJumpSize;
-  d->size_estimate = size;
+  const std::uint64_t* sums = sums_from(d);
+  d->size_estimate = sums[d->insns.size()] - sums[0] +
+                     (d->continuation != irdb::kNullInsn ? kJumpSize : 0);
 }
 
 }  // namespace zipr::rewriter

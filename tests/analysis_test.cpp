@@ -5,6 +5,10 @@
 #include "analysis/disasm.h"
 #include "analysis/ir_builder.h"
 #include "analysis/pinning.h"
+#include "asm/assembler.h"
+#include "cgc/generator.h"
+#include "cgc/workload.h"
+#include "support/rng.h"
 #include "testing_util.h"
 
 namespace zipr::analysis {
@@ -219,6 +223,107 @@ TEST(Aggregate, FullyCleanProgramHasNoAmbiguity) {
   auto agg = aggregate(img.text(), linear, rec);
   EXPECT_TRUE(agg.ambiguous.empty());
   EXPECT_EQ(agg.code_insns.size(), 3u);
+}
+
+// The pipeline overload of aggregate() replays the linear sweep only
+// outside definite code; it must count exactly the disagreements the full
+// sweep table yields. Returns the count.
+std::size_t expect_gap_sweep_matches_full_sweep(const zelf::Image& img, const std::string& what) {
+  auto rec = recursive_traversal(img);
+  Aggregate full = aggregate(img.text(), linear_sweep(img.text()), rec);
+  Aggregate gap = aggregate(img.text(), TraversalResult(rec));
+  EXPECT_EQ(gap.disagreements, full.disagreements) << what;
+  EXPECT_EQ(gap.ambiguous.intervals(), full.ambiguous.intervals()) << what;
+  EXPECT_EQ(gap.definite_code.intervals(), full.definite_code.intervals()) << what;
+  return full.disagreements;
+}
+
+TEST(Aggregate, GapSweepFollowsMisalignedSweepThroughDefiniteCode) {
+  // Every 6-byte window of 0x05 bytes decodes as `addi r5, imm32`. The
+  // traversal claims [1, 19) as three of them and a ret at 24; the sweep
+  // starts at 0, runs one byte behind the claims, and its decode at 18
+  // covers the whole gap [19, 24). So only the gap [0, 1) holds a sweep
+  // start: jumping to the end of [1, 19) on entering it would count the
+  // later gap too.
+  zelf::Segment text;
+  text.vaddr = kTextBase;
+  text.bytes.assign(24, 0x05);
+  text.bytes.push_back(0xC3);
+  text.memsize = text.bytes.size();
+  TraversalResult rec;
+  std::vector<AddrInsnMap::value_type> claims;
+  for (std::uint64_t off : {1, 7, 13, 24}) {
+    isa::Insn insn;
+    ASSERT_TRUE(isa::decode_at(ByteView(text.bytes).subspan(off), insn));
+    claims.emplace_back(text.vaddr + off, insn);
+    rec.dis.code.insert(text.vaddr + off, text.vaddr + off + insn.length);
+  }
+  ASSERT_EQ(claims[0].second.length, 6);
+  rec.dis.insns.adopt_sorted(claims);
+  Aggregate full = aggregate(text, linear_sweep(text), rec);
+  EXPECT_EQ(full.disagreements, 1u);
+  EXPECT_EQ(aggregate(text, TraversalResult(rec)).disagreements, 1u);
+}
+
+TEST(Aggregate, GapSweepCountMatchesFullSweepOnCorpus) {
+  std::size_t total = 0;
+  for (const auto& spec : cgc::cfe_corpus()) {
+    auto cb = cgc::generate_cb(spec);
+    ASSERT_TRUE(cb.ok()) << spec.name;
+    total += expect_gap_sweep_matches_full_sweep(cb->image, spec.name);
+  }
+  EXPECT_GT(total, 0u);
+}
+
+TEST(Aggregate, GapSweepCountMatchesFullSweepOnSyntheticPool) {
+  // The large-binary generator at x1-x4, seeded like the benchmark's pool
+  // entries: derive_seed(FNV-1a of the kind name, entry index).
+  auto pool_seed = [](const std::string& kind, std::uint64_t index) {
+    std::uint64_t h = 1469598103934665603ull;
+    for (char c : kind) h = (h ^ static_cast<std::uint8_t>(c)) * 1099511628211ull;
+    return derive_seed(h, index);
+  };
+  std::size_t total = 0;
+  for (int scale = 1; scale <= 4; ++scale) {
+    const std::string kind = "x" + std::to_string(scale);
+    for (std::uint64_t index = 0; index < 8; ++index) {
+      cgc::CbSpec spec;
+      spec.name = "synthetic-large-" + kind;
+      spec.seed = pool_seed(kind, index);
+      spec.handlers = 24;
+      spec.dispatch = cgc::DispatchMode::kFptrTable;
+      spec.filler_funcs = 48 * scale;
+      spec.filler_ops = 24;
+      spec.straightline = 600 * scale;
+      spec.scratch_pages = 4;
+      spec.data_in_text = true;
+      spec.payload_max = 12;
+      std::vector<int> payload_len;
+      auto src = cgc::generate_cb_source(spec, &payload_len);
+      ASSERT_TRUE(src.ok());
+      assembler::Options aopts;
+      aopts.emit_symbols = false;
+      aopts.rodata_base = 0x4000000;
+      aopts.data_base = 0x4100000;
+      aopts.bss_base = 0x4180000;
+      auto img = assembler::assemble(*src, aopts);
+      ASSERT_TRUE(img.ok()) << img.error().message;
+      total += expect_gap_sweep_matches_full_sweep(*img, kind + "#" + std::to_string(index));
+    }
+  }
+  EXPECT_GT(total, 0u);
+}
+
+TEST(Aggregate, GapSweepCountMatchesFullSweepOnDataInTextLibraries) {
+  // The robustness subjects interleave data blobs with code.
+  std::size_t total = 0;
+  for (const auto& spec :
+       {cgc::libc_like_spec(), cgc::libjvm_like_spec(), cgc::apache_like_spec()}) {
+    auto w = cgc::make_workload(spec);
+    ASSERT_TRUE(w.ok()) << spec.name;
+    total += expect_gap_sweep_matches_full_sweep(w->image, spec.name);
+  }
+  EXPECT_GT(total, 0u);
 }
 
 // ---- pinning ----

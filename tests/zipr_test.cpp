@@ -1,5 +1,9 @@
 // Tests for the Zipr core: memory space, dollop management, placement
 // strategies, sleds/chaining, and full-pipeline Null-rewrite equivalence.
+#include <algorithm>
+#include <map>
+#include <set>
+
 #include <gtest/gtest.h>
 
 #include "analysis/ir_builder.h"
@@ -267,6 +271,170 @@ TEST(DollopManager, SplitToFitFailsWhenFirstInsnTooBig) {
   auto never_placed = [](irdb::InsnId) { return false; };
   Dollop* d = dm.dollop_starting_at(a, never_placed);
   EXPECT_EQ(dm.split_to_fit(d, 12), nullptr);  // 10 + 5 > 12
+}
+
+// Copy-based reference for DollopManager: each dollop owns its row vector,
+// a split copies the tail and re-indexes it, sizes are re-summed row by
+// row, and retire clears the index.
+class DollopModel {
+ public:
+  struct Part {
+    std::vector<irdb::InsnId> insns;
+    irdb::InsnId continuation = irdb::kNullInsn;
+  };
+
+  explicit DollopModel(const irdb::Database& db) : db_(db) {}
+
+  /// Part index of the dollop starting at `insn`, or -1 when it is placed.
+  int starting_at(irdb::InsnId insn, const std::set<irdb::InsnId>& placed) {
+    if (placed.count(insn)) return -1;
+    if (auto it = owner_.find(insn); it != owner_.end()) {
+      auto [p, index] = it->second;
+      return index == 0 ? p : split(p, index);
+    }
+    Part part;
+    irdb::InsnId cur = insn;
+    while (cur != irdb::kNullInsn) {
+      if (placed.count(cur) || owner_.count(cur)) {
+        part.continuation = cur;
+        break;
+      }
+      part.insns.push_back(cur);
+      cur = db_.insn(cur).fallthrough;
+    }
+    parts.push_back(std::move(part));
+    index(static_cast<int>(parts.size()) - 1);
+    return static_cast<int>(parts.size()) - 1;
+  }
+
+  int split_to_fit(int p, std::uint64_t max_bytes) {
+    if (parts[p].insns.size() < 2) return -1;
+    std::uint64_t used = 0;
+    std::size_t pos = 0;
+    for (std::size_t i = 0; i < parts[p].insns.size(); ++i) {
+      std::uint64_t len = rewriter::estimated_size(db_.insn(parts[p].insns[i]));
+      if (used + len + isa::kJmp32Len > max_bytes) break;
+      used += len;
+      pos = i + 1;
+    }
+    if (pos == 0 || pos >= parts[p].insns.size()) return -1;
+    return split(p, pos);
+  }
+
+  void retire(int p) {
+    for (irdb::InsnId id : parts[p].insns) owner_.erase(id);
+  }
+
+  std::uint64_t size(int p) const {
+    std::uint64_t size = 0;
+    for (irdb::InsnId id : parts[p].insns) size += rewriter::estimated_size(db_.insn(id));
+    return size + (parts[p].continuation != irdb::kNullInsn ? isa::kJmp32Len : 0);
+  }
+
+  std::vector<Part> parts;
+  std::size_t splits = 0;
+
+ private:
+  int split(int p, std::size_t pos) {
+    Part tail;
+    tail.insns.assign(parts[p].insns.begin() + static_cast<std::ptrdiff_t>(pos),
+                      parts[p].insns.end());
+    tail.continuation = parts[p].continuation;
+    parts[p].insns.resize(pos);
+    parts[p].continuation = tail.insns.front();
+    parts.push_back(std::move(tail));
+    index(static_cast<int>(parts.size()) - 1);
+    ++splits;
+    return static_cast<int>(parts.size()) - 1;
+  }
+
+  void index(int p) {
+    for (std::size_t i = 0; i < parts[p].insns.size(); ++i) owner_[parts[p].insns[i]] = {p, i};
+  }
+
+  const irdb::Database& db_;
+  std::map<irdb::InsnId, std::pair<int, std::size_t>> owner_;
+};
+
+TEST(DollopManager, MatchesCopyingReferenceUnderRandomOperations) {
+  for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    Rng rng(seed);
+    // Rows of 1-10 estimated bytes in fallthrough chains that end, or fall
+    // into a later row of another chain (shared code); never a cycle.
+    irdb::Database db;
+    const std::size_t n = rng.range(20, 200);
+    for (std::size_t i = 0; i < n; ++i) {
+      isa::Insn insn = isa::make_nop();
+      switch (rng.below(4)) {
+        case 0: insn.op = isa::Op::kMovI64; break;
+        case 1: insn = isa::make_jcc(isa::Cond::kEq, 0, isa::BranchWidth::kRel8); break;
+        case 2: insn = isa::make_push_imm(7); break;
+        default: break;
+      }
+      db.add_new(insn);
+    }
+    for (irdb::InsnId id = 1; id < n; ++id) {
+      if (rng.chance(1, 12)) continue;
+      db.insn(id).fallthrough =
+          rng.chance(1, 10) ? static_cast<irdb::InsnId>(rng.range(id + 1, n)) : id + 1;
+    }
+
+    DollopManager dm(db);
+    DollopModel model(db);
+    std::set<irdb::InsnId> placed;
+    auto is_placed = [&](irdb::InsnId id) { return placed.count(id) != 0; };
+    std::vector<std::pair<Dollop*, int>> live;  // manager dollop <-> model part
+    auto track = [&](Dollop* d, int p) {
+      ASSERT_EQ(d == nullptr, p < 0);
+      if (d == nullptr) return;
+      for (const auto& [ld, lp] : live)
+        if (ld == d) {
+          ASSERT_EQ(lp, p);
+          return;
+        }
+      live.emplace_back(d, p);
+    };
+
+    for (int step = 0; step < 300; ++step) {
+      SCOPED_TRACE("step " + std::to_string(step));
+      const std::uint64_t op = rng.below(10);
+      if (op < 4 || live.empty()) {
+        // construct, mid-chain request, or a placed row
+        auto id = static_cast<irdb::InsnId>(rng.range(1, n));
+        track(dm.dollop_starting_at(id, is_placed), model.starting_at(id, placed));
+      } else if (op < 7) {
+        auto [d, p] = live[rng.below(live.size())];
+        std::uint64_t budget = rng.below(d->size_estimate + 8);
+        track(dm.split_to_fit(d, budget), model.split_to_fit(p, budget));
+      } else if (op < 9) {
+        // retire after "emitting": every row of the dollop becomes placed
+        std::size_t k = rng.below(live.size());
+        auto [d, p] = live[k];
+        for (irdb::InsnId id : d->insns) placed.insert(id);
+        ASSERT_TRUE(dm.retire(d).ok());
+        model.retire(p);
+        live.erase(live.begin() + static_cast<std::ptrdiff_t>(k));
+      } else {
+        // a row placed elsewhere (a pin, say): construction must stop there
+        auto id = static_cast<irdb::InsnId>(rng.range(1, n));
+        bool owned = false;
+        for (const auto& [d, p] : live)
+          owned |= std::find(d->insns.begin(), d->insns.end(), id) != d->insns.end();
+        if (!owned) placed.insert(id);
+      }
+      if (::testing::Test::HasFatalFailure()) return;
+
+      ASSERT_EQ(dm.total_splits(), model.splits);
+      ASSERT_EQ(dm.unplaced_count(), live.size());
+      for (const auto& [d, p] : live) {
+        ASSERT_EQ(std::vector<irdb::InsnId>(d->insns.begin(), d->insns.end()),
+                  model.parts[p].insns);
+        ASSERT_EQ(d->continuation, model.parts[p].continuation);
+        ASSERT_EQ(d->size_estimate, model.size(p));
+      }
+    }
+  }
 }
 
 // ---- end-to-end: Null rewrite preserves behaviour ----

@@ -91,9 +91,10 @@ inline bool write_file(const std::string& path, const std::string& data) {
   std::exit(2);
 }
 
-/// Die on the first flag the tool does not know, or on a value-taking flag
-/// given bare. `known` names each flag; a trailing '=' marks one that takes
-/// a value ("out=" for --out=<path>), the rest are booleans.
+/// Die on the first flag the tool does not know, on a value-taking flag
+/// given bare, or on a boolean flag given a value (`--stats=0` must not
+/// read as `--stats`). `known` names each flag; a trailing '=' marks one
+/// that takes a value ("out=" for --out=<path>), the rest are booleans.
 inline void check_flags(const Args& args, const std::vector<std::string>& known) {
   for (const auto& [key, value] : args.flags()) {
     const std::string* match = nullptr;
@@ -102,6 +103,8 @@ inline void check_flags(const Args& args, const std::vector<std::string>& known)
     if (match == nullptr) die("unknown option --" + key);
     if (match->back() == '=' && !value)
       die("--" + key + " requires a value (--" + key + "=...)");
+    if (match->back() != '=' && value)
+      die("--" + key + " takes no value (got --" + key + "=" + *value + ")");
   }
 }
 
