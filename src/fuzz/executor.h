@@ -50,9 +50,6 @@ class Executor {
   bool instrumented() const { return instrumented_; }
   std::uint64_t resets() const { return resets_; }
 
-  /// The underlying machine (trim's insns_by_pc hook, white-box tests).
-  vm::Machine& machine() { return machine_; }
-
  private:
   vm::Machine machine_;
   vm::Machine::Snapshot snapshot_;

@@ -17,8 +17,6 @@ constexpr std::uint64_t kPlannerStreamBase = 1u << 20;  // + round
 constexpr std::uint64_t kTaskStreamBase = 1u << 30;     // + global task ordinal
 
 constexpr std::size_t kExecsPerTask = 24;  // inputs one planned task carries
-// Cut the unread tail off new entries (admit() proves the cut is exact).
-constexpr bool kTrimAdmissions = true;
 
 }  // namespace
 
@@ -110,23 +108,13 @@ void Fuzzer::record_crash(const RunOut& out, const Bytes& input, MutationStage s
   (void)it;
 }
 
-// Trimmed admission: cut the unread tail off, then prove on the trim
-// executor that the truncated input retires the exact same per-pc
-// instruction counts (the vm's hot-counter hook) before adopting it.
-Status Fuzzer::admit(Bytes input, RunOut out, MutationStage stage, Executor& trim_ex) {
-  if (kTrimAdmissions && out.consumed < input.size()) {
-    Bytes trimmed(input.begin(), input.begin() + static_cast<std::ptrdiff_t>(out.consumed));
-    trim_ex.machine().set_count_pcs(true);
-    ZIPR_ASSIGN_OR_RETURN(ExecResult full, trim_ex.execute(input, guest_seed_));
-    auto full_hist = trim_ex.machine().insns_by_pc();
-    ZIPR_ASSIGN_OR_RETURN(ExecResult cut, trim_ex.execute(trimmed, guest_seed_));
-    trim_ex.machine().set_count_pcs(false);
-    stats_.execs += 2;
-    if (!cut.crashed && cut.map == full.map && trim_ex.machine().insns_by_pc() == full_hist) {
-      input = std::move(trimmed);
-      out.exec_insns = cut.run.stats.insns;
-    }
-  }
+// Admission cuts the unread tail off the input. That needs no replay:
+// receive() is the only syscall that reads input and it returns
+// min(count, available), so a run that left bytes unread got every byte it
+// asked for, and the cut input replays the same run (only non-crashing
+// runs reach here; Fuzzer.TrimmedInputReplaysTheFullRun pins this).
+void Fuzzer::admit(Bytes input, RunOut out, MutationStage stage) {
+  if (out.consumed < input.size()) input.resize(out.consumed);
   merge_bits(out.map, virgin_);
   CorpusEntry entry;
   entry.input = std::move(input);
@@ -135,7 +123,6 @@ Status Fuzzer::admit(Bytes input, RunOut out, MutationStage stage, Executor& tri
   entry.stage = stage;
   corpus_.push_back(std::move(entry));
   ++stats_.stages.admit(stage);
-  return Status::success();
 }
 
 Status Fuzzer::seed_corpus(const std::vector<Bytes>& seeds, Executor& ex) {
@@ -147,7 +134,7 @@ Status Fuzzer::seed_corpus(const std::vector<Bytes>& seeds, Executor& ex) {
       record_crash(out, seed_input, MutationStage::kSeed);
       continue;
     }
-    ZIPR_TRY(admit(seed_input, std::move(out), MutationStage::kSeed, ex));
+    admit(seed_input, std::move(out), MutationStage::kSeed);
   }
   if (corpus_.empty()) {
     // Every seed crashed (or none were given): keep something schedulable.
@@ -220,7 +207,7 @@ Status Fuzzer::execute_serial(std::vector<Task>& tasks, Executor& ex) {
   return Status::success();
 }
 
-Status Fuzzer::merge_round(std::vector<Task>& tasks, Executor& trim_ex) {
+Status Fuzzer::merge_round(std::vector<Task>& tasks, Executor&) {
   // Sequential, in task order; re-checks novelty against the LIVE virgin
   // map so duplicates across the round's tasks collapse to the first.
   for (auto& task : tasks) {
@@ -232,7 +219,7 @@ Status Fuzzer::merge_round(std::vector<Task>& tasks, Executor& trim_ex) {
         continue;
       }
       if (has_new_bits(out.map, virgin_))
-        ZIPR_TRY(admit(std::move(task.inputs[k]), std::move(out), task.stages[k], trim_ex));
+        admit(std::move(task.inputs[k]), std::move(out), task.stages[k]);
     }
   }
   recompute_favored(corpus_);

@@ -183,8 +183,10 @@ class Fuzzer {
   Status execute_serial(std::vector<Task>& tasks, Executor& ex);
 
   /// Merge executed tasks sequentially in task order; re-checks novelty
-  /// against the live virgin map, trims admissions on `trim_ex`.
-  Status merge_round(std::vector<Task>& tasks, Executor& trim_ex);
+  /// against the live virgin map and cuts each admission to the bytes its
+  /// run read.
+  // The Executor is unused; ROADMAP item 4 drops it with perfbench's call.
+  Status merge_round(std::vector<Task>& tasks, Executor&);
 
   const std::vector<CorpusEntry>& corpus() const { return corpus_; }
   const Bytes& virgin() const { return virgin_; }
@@ -200,7 +202,7 @@ class Fuzzer {
   FuzzResult take_result();
 
  private:
-  Status admit(Bytes input, RunOut out, MutationStage stage, Executor& trim_ex);
+  void admit(Bytes input, RunOut out, MutationStage stage);
   void record_crash(const RunOut& out, const Bytes& input, MutationStage stage);
 
   const zelf::Image& image_;

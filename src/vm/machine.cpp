@@ -304,29 +304,9 @@ Fault Machine::step() {
   if (!isa::decode_at(*bytes, in)) return Fault::kBadInsn;
 
   if (trace_) trace_(pc_, in);
-  if (count_pcs_) count_pc(pc_);
   ++stats_.insns;
   stats_.cycles += static_cast<std::uint64_t>(isa::cost_of(in.op));
   return dispatch(in);
-}
-
-void Machine::count_pc(std::uint64_t pc) {
-  const std::uint64_t base = pc & kPageMask;
-  if (base != pc_count_base_) {
-    auto [it, inserted] = pc_counts_.try_emplace(base);
-    if (inserted) it->second = std::make_unique<std::uint64_t[]>(kPageSize);  // zeroed
-    pc_count_base_ = base;
-    pc_count_page_ = it->second.get();
-  }
-  ++pc_count_page_[pc & (kPageSize - 1)];
-}
-
-std::unordered_map<std::uint64_t, std::uint64_t> Machine::insns_by_pc() const {
-  std::unordered_map<std::uint64_t, std::uint64_t> out;
-  for (const auto& [base, counters] : pc_counts_)
-    for (std::uint64_t off = 0; off < kPageSize; ++off)
-      if (counters[off] != 0) out.emplace(base + off, counters[off]);
-  return out;
 }
 
 const Machine::CodePage* Machine::code_page(std::uint64_t base) {
@@ -422,9 +402,9 @@ void Machine::run_fast(RunResult& r) {
 
 RunResult Machine::run() {
   RunResult r;
-  // Tracing and pc counting observe every retired instruction: take the
-  // per-instruction slow path so hook behavior is independent of caching.
-  if (decode_cache_on_ && !trace_ && !count_pcs_)
+  // Tracing observes every retired instruction: take the per-instruction
+  // slow path so hook behavior is independent of caching.
+  if (decode_cache_on_ && !trace_)
     run_fast(r);
   else
     run_slow(r);
@@ -460,9 +440,6 @@ Status Machine::restore(const Snapshot& snap) {
   stats_ = ExecStats{};
   exited_ = false;
   exit_status_ = -1;
-  pc_counts_.clear();
-  pc_count_base_ = kNoPage;
-  pc_count_page_ = nullptr;
   return Status::success();
 }
 

@@ -26,9 +26,9 @@
 // (MaxRSS) set bit-identical to the uncached interpreter. The cache keys
 // its validity on Memory::code_epoch(): writes to executable pages, new or
 // widened exec mappings, and snapshot-restore rollback of exec pages all
-// invalidate before the next instruction executes. Tracing and pc-count
-// hooks force the per-instruction slow path so observable behavior never
-// depends on the cache; set_decode_cache(false) disables it outright
+// invalidate before the next instruction executes. Tracing forces the
+// per-instruction slow path so observable behavior never depends on the
+// cache; set_decode_cache(false) disables it outright
 // (differential tests run both ways and assert identical results).
 #pragma once
 
@@ -66,7 +66,9 @@ struct RunResult {
   ExecStats stats;
   Bytes output;                    ///< transmitted bytes
   /// Bytes of the input stream actually receive()d before the run ended.
-  /// Corpus trimming uses this to cut unread tail bytes off fuzz inputs.
+  /// receive() is the input's only reader, so unless the run faulted, the
+  /// input cut to this many bytes replays it; the fuzzer admits inputs cut
+  /// this way.
   std::size_t input_bytes_consumed = 0;
 };
 
@@ -93,13 +95,6 @@ class Machine {
   /// Optional per-instruction hook (tests/tracing). Forces the slow path.
   using TraceFn = std::function<void(std::uint64_t pc, const isa::Insn&)>;
   void set_trace(TraceFn fn) { trace_ = std::move(fn); }
-
-  /// Optional per-run hot counters: instructions retired by pc. Off by
-  /// default; the fuzzer's trim stage turns it on to prove a truncated
-  /// input executes the same path. Counted in flat per-exec-page arrays
-  /// (no hash insert per retired instruction); forces the slow path.
-  void set_count_pcs(bool on) { count_pcs_ = on; }
-  std::unordered_map<std::uint64_t, std::uint64_t> insns_by_pc() const;
 
   /// Toggle the predecoded-instruction cache (default on). The cached and
   /// uncached interpreters are observably identical -- RunResult, faults,
@@ -167,7 +162,6 @@ class Machine {
   /// Decode table for the exec page at `base` (built on first use),
   /// nullptr if the page is unmapped or not executable.
   const CodePage* code_page(std::uint64_t base);
-  void count_pc(std::uint64_t pc);
   bool eval_cond(isa::Cond c) const;
   Fault do_syscall();
   Fault push64(std::uint64_t v);
@@ -191,16 +185,10 @@ class Machine {
   bool exited_ = false;
   std::int64_t exit_status_ = -1;
   TraceFn trace_;
-  bool count_pcs_ = false;
 
   bool decode_cache_on_ = true;
   std::unordered_map<std::uint64_t, std::unique_ptr<CodePage>> code_cache_;
   std::uint64_t code_cache_epoch_ = 0;  ///< Memory::code_epoch() at last sync
-
-  /// Flat per-exec-page retired-instruction counters (count_pcs_ mode).
-  std::unordered_map<std::uint64_t, std::unique_ptr<std::uint64_t[]>> pc_counts_;
-  std::uint64_t pc_count_base_ = kNoPage;      ///< page of pc_count_page_
-  std::uint64_t* pc_count_page_ = nullptr;     ///< counters of the last page
 };
 
 /// Convenience: run `image` with `input` and `seed`, default limits.

@@ -172,6 +172,10 @@ struct DiffCase {
   PlacementKind placement;
 };
 
+// Print a case by name, not as the bytes of its name pointer, so the
+// listed test names are the same in every run.
+void PrintTo(const DiffCase& c, std::ostream* os) { *os << c.name; }
+
 const DiffCase kStrategyCases[] = {{"nearfit", PlacementKind::kNearfit},
                                    {"diversity", PlacementKind::kDiversity},
                                    {"pinpage", PlacementKind::kPinPage}};

@@ -352,14 +352,15 @@ TEST(Fuzzer, SameSpecSameCampaign) {
 }
 
 TEST(Fuzzer, TrimsUnreadTailOffSeeds) {
-  // kBranchy reads exactly 8 bytes; a 64-byte seed should be admitted as
-  // its 8 consumed bytes (proven path-identical via the insns_by_pc hook).
+  // kBranchy reads exactly 8 bytes; a 64-byte seed is admitted as its 8
+  // consumed bytes, and the cut costs no run beyond the seed's own.
   auto cov = instrument(must_assemble(kBranchy));
   Bytes fat(64, 9);
   auto result = fuzz(cov, {fat}, smoke_opts(1));
   ASSERT_TRUE(result.ok());
   ASSERT_GE(result->corpus.size(), 1u);
   EXPECT_EQ(result->corpus[0].input.size(), 8u);
+  EXPECT_EQ(result->stats.execs, 1u);
 }
 
 // Why a trimmed admission needs no proof run: receive() returns
@@ -403,6 +404,48 @@ TEST(Fuzzer, TrimmedInputReplaysTheFullRun) {
   // vuln_stack reads up to 256 bytes into a 32-byte frame, so the tail
   // crashes it; the other three leave the tail unread.
   EXPECT_EQ(trimmed, 3u);
+}
+
+// The same guarantee at campaign scale: after ten rounds on each planted
+// CB (laf+cov, seed 11, as the golden digests run), every corpus entry
+// replayed on a fresh executor reads all of its (cut) input and reproduces
+// the coverage map and instruction count the fuzzer stored for it. These
+// campaigns seldom admit an input with unread bytes, so a second seed
+// carries a 64-byte tail that admission must cut (vuln_stack crashes on it).
+TEST(Fuzzer, CorpusEntriesReplayTheirStoredRun) {
+  RewriteOptions laf_cov;
+  laf_cov.transforms = {"laf", "cov"};
+  FuzzOptions opts;
+  opts.seed = 11;
+  const auto vulns = cgc::vulnerable_corpus();
+  std::size_t mutants = 0;
+  for (const auto& vuln : vulns) {
+    const zelf::Image image = must_rewrite(vuln.image, laf_cov).image;
+    Fuzzer fz(image, opts);
+    Executor ex(image, opts.limits);
+    Bytes tailed = vuln.benign_input;
+    tailed.insert(tailed.end(), 64, 0xa5);
+    ASSERT_TRUE(fz.seed_corpus({vuln.benign_input, tailed}, ex).ok()) << vuln.name;
+    for (int round = 0; round < 10; ++round) {
+      std::vector<Fuzzer::Task> tasks = fz.plan_round();
+      ASSERT_TRUE(fz.execute_serial(tasks, ex).ok()) << vuln.name;
+      ASSERT_TRUE(fz.merge_round(tasks, ex).ok()) << vuln.name;
+    }
+    mutants += fz.corpus().size() - fz.stats().stages.admit(MutationStage::kSeed);
+
+    Executor fresh(image, opts.limits);
+    for (std::size_t i = 0; i < fz.corpus().size(); ++i) {
+      const CorpusEntry& entry = fz.corpus()[i];
+      auto replay = fresh.execute(entry.input, fz.guest_seed());
+      ASSERT_TRUE(replay.ok()) << vuln.name << " entry " << i;
+      EXPECT_FALSE(replay->crashed) << vuln.name << " entry " << i;
+      EXPECT_EQ(replay->run.input_bytes_consumed, entry.input.size())
+          << vuln.name << " entry " << i;
+      EXPECT_EQ(replay->map, entry.map) << vuln.name << " entry " << i;
+      EXPECT_EQ(replay->run.stats.insns, entry.exec_insns) << vuln.name << " entry " << i;
+    }
+  }
+  EXPECT_GT(mutants, 0u) << "the campaigns admitted nothing beyond their seeds";
 }
 
 TEST(Fuzzer, CrashTriageDeduplicates) {

@@ -511,36 +511,6 @@ TEST(Vm, SledPushPathLeavesValueOnStack) {
   EXPECT_EQ(r.exit_status, 0x90909090);
 }
 
-TEST(Vm, InsnsByPcHookCountsRetiredInstructions) {
-  auto img = build(R"(
-    .entry m
-    .text
-    m:
-      movi r1, 3
-    loop:
-      subi r1, 1
-      jne loop
-      movi r0, 1
-      movi r1, 0
-      syscall
-  )");
-  Machine off(img);
-  EXPECT_TRUE(off.run().exited);
-  EXPECT_TRUE(off.insns_by_pc().empty()) << "hook must be off by default";
-
-  Machine m(img);
-  m.set_count_pcs(true);
-  auto r = m.run();
-  EXPECT_TRUE(r.exited);
-  const auto& hist = m.insns_by_pc();
-  std::uint64_t total = 0;
-  for (const auto& [pc, n] : hist) total += n;
-  EXPECT_EQ(total, r.stats.insns);
-  EXPECT_EQ(hist.at(zelf::layout::kTextBase), 1u);        // movi runs once
-  auto loop_pc = zelf::layout::kTextBase + 6;             // subi: 3 iterations
-  EXPECT_EQ(hist.at(loop_pc), 3u);
-}
-
 TEST(Vm, InputBytesConsumedTracksReceive) {
   const char* src = R"(
     .entry m
