@@ -465,15 +465,16 @@ BENCHMARK(BM_RewriteCb)->Arg(0)->Arg(40)->Arg(61);
 // allocs/op and peak_heap_B on the x1 row absolutely.
 //
 // Iterations share the benchmark thread's RewriteWorkspace, the way a
-// serve/batch worker recycles its tables across requests: warm iterations
-// re-fill retained buffers instead of re-allocating them, which is what
-// the x1 allocs/op ceiling measures.
+// serve/batch worker recycles its reassembly arena across requests: warm
+// iterations bump into retained arena chunks instead of re-allocating
+// them, while the analysis tables are allocated afresh by every rewrite.
+// The x1 allocs/op ceiling measures both.
 void BM_RewriteLarge(benchmark::State& state) {
   const auto& cb = shared_large_cb(static_cast<int>(state.range(0)));
   std::size_t text = cb.image.text().bytes.size();
-  // One untimed rewrite fills the thread's workspace to this size's
+  // One untimed rewrite fills the thread's arena to this size's
   // steady-state capacity, so AllocScope's baseline includes the retained
-  // buffers and the counters below measure WARM iterations: what a serve
+  // chunks and the counters below measure WARM iterations: what a serve
   // worker pays per request, not the first-request fill.
   {
     auto r = rewrite(cb.image, {});

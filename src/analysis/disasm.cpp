@@ -1,6 +1,5 @@
 #include "analysis/disasm.h"
 
-#include "analysis/scratch.h"
 #include "support/log.h"
 
 namespace zipr::analysis {
@@ -101,26 +100,18 @@ struct Traverser {
   const zelf::Image& image;
   const zelf::Segment& text;
   const TraversalOptions& opts;
-  AnalysisScratch& scratch;  ///< recycled buffers
   TraversalResult result;
   /// FIFO via head index: identical visit order to a deque, but one flat
-  /// recyclable buffer instead of per-chunk node churn (a deque allocates
-  /// and frees a block every 64 pops on this push/pop-heavy walk).
+  /// buffer, reused by every drain(), instead of per-chunk node churn (a
+  /// deque allocates and frees a block every 64 pops on this push/pop-heavy
+  /// walk).
   std::vector<std::uint64_t> worklist;
   std::size_t work_head = 0;
   std::vector<std::uint8_t> state;  ///< per text byte
   std::size_t claim_count = 0;
 
-  Traverser(const zelf::Image& img, const TraversalOptions& o, AnalysisScratch& s)
-      : image(img),
-        text(img.text()),
-        opts(o),
-        scratch(s),
-        worklist(std::move(s.traversal_work)),
-        state(std::move(s.byte_state)) {
-    worklist.clear();
-    state.assign(text.bytes.size(), 0);
-  }
+  Traverser(const zelf::Image& img, const TraversalOptions& o)
+      : image(img), text(img.text()), opts(o), state(text.bytes.size(), 0) {}
 
   bool in_text(std::uint64_t addr) const {
     return addr >= text.vaddr && addr - text.vaddr < state.size();
@@ -271,8 +262,7 @@ struct Traverser {
   /// accumulating claims in discovery order and paying an O(n log n) sort
   /// over a multi-MB table -- the only superlinear term in the pipeline.
   void finalize() {
-    std::vector<AddrInsnMap::value_type> sorted = std::move(scratch.code_claims);
-    sorted.clear();
+    std::vector<AddrInsnMap::value_type> sorted;
     sorted.reserve(claim_count);
     isa::Insn insn;
     for (std::size_t off = 0; off < state.size(); ++off) {
@@ -287,10 +277,8 @@ struct Traverser {
 
 }  // namespace
 
-TraversalResult recursive_traversal(const zelf::Image& image, const TraversalOptions& opts,
-                                    AnalysisScratch* scratch) {
-  AnalysisScratch local;
-  Traverser t(image, opts, scratch ? *scratch : local);
+TraversalResult recursive_traversal(const zelf::Image& image, const TraversalOptions& opts) {
+  Traverser t(image, opts);
   if (image.entry != 0) {
     t.worklist.push_back(image.entry);
     t.result.function_entries.insert(image.entry);
@@ -308,10 +296,6 @@ TraversalResult recursive_traversal(const zelf::Image& image, const TraversalOpt
     t.drain();
   }
   t.finalize();
-  // Return the bitmap's and worklist's capacity to the donor for the next
-  // rewrite.
-  t.scratch.byte_state = std::move(t.state);
-  t.scratch.traversal_work = std::move(t.worklist);
   return std::move(t.result);
 }
 

@@ -52,29 +52,16 @@ namespace zipr::analysis {
 /// of the std::map interface the pipeline uses -- count/find/lower_bound/
 /// ranged iteration over pairs -- but stores one contiguous vector, so
 /// building a 20k-instruction table is a handful of allocations instead
-/// of 20k node allocations, and iteration streams linearly.
+/// of 20k node allocations, and iteration streams linearly. Both engines
+/// build their claims in ascending address order and hand the vector over
+/// whole (adopt_sorted).
 class AddrInsnMap {
  public:
   using value_type = std::pair<std::uint64_t, isa::Insn>;
   using const_iterator = std::vector<value_type>::const_iterator;
 
-  /// Append an entry with an address greater than every existing one
-  /// (engines discover code in ascending order or sort before adoption).
-  void append(std::uint64_t addr, const isa::Insn& insn) {
-    v_.emplace_back(addr, insn);
-  }
-
-  /// Take ownership of unsorted (addr, insn) claims; sorts by address.
-  /// Addresses must be unique (one claim per address).
-  void adopt_unsorted(std::vector<value_type> v) {
-    v_ = std::move(v);
-    std::sort(v_.begin(), v_.end(),
-              [](const value_type& a, const value_type& b) { return a.first < b.first; });
-  }
-
-  /// Take ownership of claims already in ascending address order (the
-  /// linear sweep discovers them that way); skips the sort AND the
-  /// element-wise copy a rebuild through append() would cost.
+  /// Take ownership of claims already in ascending address order; skips
+  /// the sort and the element-wise copy a rebuild would cost.
   void adopt_sorted(std::vector<value_type> v) {
     assert(std::is_sorted(v.begin(), v.end(),
                           [](const value_type& a, const value_type& b) { return a.first < b.first; }));
@@ -96,11 +83,6 @@ class AddrInsnMap {
   const_iterator end() const { return v_.end(); }
   std::size_t size() const { return v_.size(); }
   bool empty() const { return v_.empty(); }
-  void reserve(std::size_t n) { v_.reserve(n); }
-
-  /// Steal the backing vector (the map becomes empty). Lets a recycling
-  /// caller reclaim the table's capacity once it is done with the entries.
-  std::vector<value_type> release() { return std::move(v_); }
 
  private:
   std::vector<value_type> v_;
@@ -121,8 +103,6 @@ struct JumpTable {
   std::uint64_t table_addr = 0;  ///< address of the first slot
   std::vector<std::uint64_t> slots;
 };
-
-struct AnalysisScratch;  // scratch.h; buffers recycled across rewrites
 
 /// objdump-like engine. Decodes `text` sequentially; after an undecodable
 /// byte it advances one byte and resynchronizes. The rewrite pipeline
@@ -151,12 +131,7 @@ struct TraversalOptions {
 
 /// IDA-like engine: follow control flow from the entry point to a fixpoint,
 /// including jump-table and address-constant discovery.
-///
-/// `scratch`, if given, donates `byte_state` (returned on exit) and
-/// `code_claims` (escapes into `result.dis.insns`; reclaim via release()
-/// once the table is dead). Never changes the result.
-TraversalResult recursive_traversal(const zelf::Image& image, const TraversalOptions& opts = {},
-                                    AnalysisScratch* scratch = nullptr);
+TraversalResult recursive_traversal(const zelf::Image& image, const TraversalOptions& opts = {});
 
 /// Aggregated classification of the text segment.
 struct Aggregate {

@@ -1,6 +1,5 @@
 #include "analysis/ir_builder.h"
 
-#include "analysis/scratch.h"
 #include "support/log.h"
 
 namespace zipr::analysis {
@@ -8,11 +7,8 @@ namespace zipr::analysis {
 using irdb::InsnId;
 using irdb::kNullInsn;
 
-Result<IrProgram> build_ir(const zelf::Image& image, const AnalysisOptions& opts,
-                           AnalysisScratch* scratch) {
+Result<IrProgram> build_ir(const zelf::Image& image, const AnalysisOptions& opts) {
   ZIPR_TRY(image.validate());
-  AnalysisScratch local;
-  if (!scratch) scratch = &local;
   IrProgram prog;
   prog.original = image;
   // The rewriter must not depend on metadata: strip ground-truth symbols
@@ -20,7 +16,7 @@ Result<IrProgram> build_ir(const zelf::Image& image, const AnalysisOptions& opts
   prog.original.symbols.clear();
 
   const zelf::Segment& text = image.text();
-  TraversalResult recursive = recursive_traversal(image, opts.traversal, scratch);
+  TraversalResult recursive = recursive_traversal(image, opts.traversal);
   // The move overload steals recursive.dis (the traversal metadata the
   // later stages read stays valid) and replays the linear sweep only where
   // it can disagree with the traversal.
@@ -35,8 +31,7 @@ Result<IrProgram> build_ir(const zelf::Image& image, const AnalysisOptions& opts
   // ---- lift definite code into rows ----
   // row_at: text offset -> row id, a dense array instead of a tree (lookup
   // is one load; the text segment is at most a few MB).
-  std::vector<InsnId> row_at = std::move(scratch->row_at);
-  row_at.assign(text.bytes.size(), kNullInsn);
+  std::vector<InsnId> row_at(text.bytes.size(), kNullInsn);
   auto row_at_addr = [&](std::uint64_t addr) -> InsnId {
     return (addr >= text.vaddr && addr - text.vaddr < row_at.size())
                ? row_at[addr - text.vaddr]
@@ -116,15 +111,14 @@ Result<IrProgram> build_ir(const zelf::Image& image, const AnalysisOptions& opts
   // Entry membership as a bitmap over row ids: the BFS below queries it
   // once per visited row, so a node-based set would be a cache miss per
   // instruction on big binaries.
-  std::vector<bool> entry_rows = std::move(scratch->entry_rows);
-  entry_rows.assign(prog.db.insn_count() + 1, false);
+  std::vector<bool> entry_rows(prog.db.insn_count() + 1, false);
   for (std::uint64_t entry : recursive.function_entries) {
     if (InsnId id = row_at_addr(entry); id != kNullInsn) entry_rows[id] = true;
   }
-  // FIFO via head index (same order as a deque).
-  std::vector<InsnId> work = std::move(scratch->work);
-  // Staged, then copied in one exact-size alloc.
-  std::vector<InsnId> members = std::move(scratch->function_members);
+  // FIFO via head index (same order as a deque). Both buffers are reused
+  // by every function below.
+  std::vector<InsnId> work;
+  std::vector<InsnId> members;
   for (std::uint64_t entry : recursive.function_entries) {
     InsnId entry_id = row_at_addr(entry);
     if (entry_id == kNullInsn) continue;
@@ -137,7 +131,7 @@ Result<IrProgram> build_ir(const zelf::Image& image, const AnalysisOptions& opts
 
     work.clear();
     work.push_back(entry_id);
-    // Members are staged in the recycled buffer and copied into the
+    // Members are staged in the shared buffer and copied into the
     // database afterwards: one allocation sized to the function, instead
     // of a geometric push_back growth chain per function.
     members.clear();
@@ -160,17 +154,6 @@ Result<IrProgram> build_ir(const zelf::Image& image, const AnalysisOptions& opts
   prog.stats.disagreements = agg.disagreements;
 
   ZIPR_TRY(prog.db.validate());
-
-  // Hand every borrowed buffer back (grown to this input's demand) so the
-  // next rewrite through the same scratch starts warm. The engine tables
-  // are dead at this point: the database copied what it keeps. On the
-  // early error returns above the buffers simply die with their locals and
-  // the scratch re-reserves next time -- a cost, never a correctness issue.
-  scratch->code_claims = agg.code_insns.release();
-  scratch->row_at = std::move(row_at);
-  scratch->entry_rows = std::move(entry_rows);
-  scratch->work = std::move(work);
-  scratch->function_members = std::move(members);
   return prog;
 }
 

@@ -56,12 +56,9 @@ struct IrProgram {
   AnalysisStats stats;
 };
 
-/// Run the full IR Construction phase on a binary image. `scratch`, if
-/// given: the phase's large transient tables borrow the scratch buffers'
-/// capacity and return it (grown) on success, so a long-lived worker stops
-/// re-faulting them every rewrite. Each buffer is fully re-initialized
-/// here -- scratch NEVER affects the resulting IR.
-Result<IrProgram> build_ir(const zelf::Image& image, const AnalysisOptions& opts = {},
-                           AnalysisScratch* scratch = nullptr);
+/// Run the full IR Construction phase on a binary image. Its claim,
+/// byte-state and row tables are built for this image and die with the
+/// call.
+Result<IrProgram> build_ir(const zelf::Image& image, const AnalysisOptions& opts = {});
 
 }  // namespace zipr::analysis

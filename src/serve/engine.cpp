@@ -126,8 +126,8 @@ Result<ServeResponse> ServeEngine::handle(ByteView input, const RewriteOptions& 
 
   // 3. Cold path. Failures return here WITHOUT touching the cache: caching
   //    an error artifact would poison every retry of this key. rewrite()
-  //    runs through this thread's workspace, so repeated cold misses on one
-  //    thread recycle the pipeline's transient tables (never the output).
+  //    reassembles in this thread's workspace arena, so repeated cold
+  //    misses on one thread recycle its chunks (never the output).
   auto rewritten = rewrite(*image, options);
   if (!rewritten.ok()) return fail(rewritten.error());
 

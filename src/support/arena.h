@@ -8,9 +8,9 @@
 // or batch worker pays malloc only on its first rewrite (and whenever a
 // later input needs more capacity than any earlier one did).
 //
-// Not thread-safe: each worker owns its own arena (see thread_local use in
-// zipr::Reassembler). Trivially-destructible payloads only -- reset() does
-// not run destructors.
+// Not thread-safe: each worker owns its own arena (see the thread_local in
+// zipr::this_thread_workspace(), src/zipr/workspace.cpp).
+// Trivially-destructible payloads only -- reset() does not run destructors.
 #pragma once
 
 #include <cstddef>

@@ -3,16 +3,13 @@
 namespace zipr {
 
 void RewriteWorkspace::finish_cycle() {
-  std::size_t demand = arena_.used_bytes() + analysis_.used_bytes();
+  std::size_t demand = arena_.used_bytes();
   window_[cycles_++ % kWindow] = demand;
   std::size_t peak = *std::max_element(window_, window_ + kWindow);
-  std::size_t budget = 2 * peak + kSlack;
-  if (retained_bytes() <= budget) return;
-  // The arena trims to whole chunks; the scratch vectors release outright
-  // and re-reserve to exact need next pass. Both are cost, not
-  // correctness: the next rewrite simply starts cold again.
-  arena_.trim(2 * arena_.used_bytes() + kSlack);
-  analysis_.trim();
+  if (retained_bytes() <= 2 * peak + kSlack) return;
+  // The arena trims to whole chunks. That costs time, never correctness:
+  // the next rewrite simply grows it again.
+  arena_.trim(2 * demand + kSlack);
 }
 
 RewriteWorkspace& this_thread_workspace() {

@@ -47,13 +47,11 @@ Result<transform::InstrumentationStats> apply_transforms(analysis::IrProgram& pr
 // Concurrent calls on distinct inputs -- or even the same input -- are
 // safe; the batch engine (src/batch) relies on this.
 Result<RewriteResult> rewrite(const zelf::Image& input, const RewriteOptions& options) {
-  RewriteWorkspace& workspace = this_thread_workspace();
   StageTimes timing;
   Clock::time_point stage_start = Clock::now();
 
   // Phase 1: IR Construction.
-  ZIPR_ASSIGN_OR_RETURN(analysis::IrProgram prog,
-                        analysis::build_ir(input, options.analysis, &workspace.analysis()));
+  ZIPR_ASSIGN_OR_RETURN(analysis::IrProgram prog, analysis::build_ir(input, options.analysis));
   timing.ir_ms = ms_since(stage_start);
   stage_start = Clock::now();
 
@@ -82,9 +80,9 @@ Result<RewriteResult> rewrite(const zelf::Image& input, const RewriteOptions& op
   result.reassembly = reassembler.stats();
   result.instrumentation = instrumentation;
   result.timing = timing;
-  // Let the workspace see this cycle's demand (and trim if an earlier
+  // Let the workspace see this cycle's arena demand (and trim if an earlier
   // oversized request left it holding far more than recent traffic needs).
-  workspace.finish_cycle();
+  this_thread_workspace().finish_cycle();
   return result;
 }
 

@@ -83,11 +83,10 @@ Result<transform::InstrumentationStats> apply_transforms(analysis::IrProgram& pr
 /// Rewrite `input`, applying the configured transforms. The whole pipeline
 /// runs on the calling thread.
 ///
-/// The pipeline's large transient tables and the reassembly arena borrow
-/// the calling thread's RewriteWorkspace (see workspace.h), so successive
-/// rewrites on one thread recycle each other's capacity. Every borrowed
-/// buffer is re-initialized per rewrite: output bytes depend only on
-/// `input` and `options`, never on what the thread rewrote before.
+/// The reassembly arena is the calling thread's RewriteWorkspace (see
+/// workspace.h), so successive rewrites on one thread recycle its chunks.
+/// The arena is rewound per rewrite: output bytes depend only on `input`
+/// and `options`, never on what the thread rewrote before.
 ///
 /// REENTRANT: all pipeline state is per-call or per-thread; concurrent
 /// rewrites from multiple threads are safe (see the batch engine,

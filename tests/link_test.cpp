@@ -192,6 +192,10 @@ struct LibRewriteCase {
   rewriter::PlacementKind lib_placement;
 };
 
+// Print a case by name, not as its raw bytes (which hold heap pointers),
+// so the listed test names are the same in every run.
+void PrintTo(const LibRewriteCase& c, std::ostream* os) { *os << c.name; }
+
 class IndependentRewriteTest : public ::testing::TestWithParam<LibRewriteCase> {};
 
 TEST_P(IndependentRewriteTest, TransformedImagesInterOperate) {

@@ -29,9 +29,9 @@ inline RewriteResult must_rewrite(const zelf::Image& input, RewriteOptions opts 
   return std::move(r).value();
 }
 
-/// Run `fn` on a new thread and wait for it. rewrite() borrows the calling
-/// thread's workspace, so the first rewrite on a new thread starts cold,
-/// from an empty workspace that the thread frees on exit.
+/// Run `fn` on a new thread and wait for it. rewrite() reassembles in the
+/// calling thread's workspace arena, so the first rewrite on a new thread
+/// starts cold, from an empty arena that the thread frees on exit.
 template <typename Fn>
 void on_fresh_thread(Fn&& fn) {
   std::thread t(std::forward<Fn>(fn));
@@ -39,7 +39,7 @@ void on_fresh_thread(Fn&& fn) {
 }
 
 /// Serialized output of a rewrite on a fresh thread: the cold reference
-/// any warm (recycled-workspace) rewrite must match.
+/// any warm (recycled-arena) rewrite must match.
 inline Bytes cold_rewrite_bytes(const zelf::Image& input, const RewriteOptions& opts = {}) {
   Bytes out;
   on_fresh_thread([&] { out = zelf::write_image(must_rewrite(input, opts).image); });

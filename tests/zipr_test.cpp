@@ -1142,10 +1142,10 @@ TEST(Sled, ThreeAdjacentPins) {
   }
 }
 
-// ---- recycled workspaces (one per thread, borrowed by rewrite()) ----
+// ---- recycled workspaces (one arena per thread, borrowed by rewrite()) ----
 
 // A straight-line program whose size scales linearly with `n`, for driving
-// the workspace's text-proportional scratch tables to chosen demands.
+// the workspace arena's dollops and placement map to chosen demands.
 std::string straightline_program(int n) {
   std::string src = ".entry main\n.text\nmain:\n";
   for (int i = 0; i < n; ++i) src += "  addi r2, " + std::to_string(i % 7) + "\n";
@@ -1221,8 +1221,9 @@ TEST(Workspace, OversizedCycleAgesOutOfTheRetentionWindow) {
 }
 
 TEST(Workspace, FailedRewriteLeavesTheThreadWorkspaceUsable) {
-  // A failed rewrite abandons whatever it borrowed mid-pass; the next
-  // rewrite on the same thread must still start from a usable workspace.
+  // A failed rewrite leaves the arena as far as it got (or untouched, when
+  // it fails before reassembly); the next rewrite on the same thread must
+  // still start from a usable workspace.
   zelf::Image good = must_assemble(straightline_program(300));
   zelf::Image invalid = good;
   invalid.entry = 0x10;  // outside every segment: fails validate()
@@ -1254,9 +1255,9 @@ TEST(Workspace, FailedRewriteLeavesTheThreadWorkspaceUsable) {
 
 TEST(Pipeline, LayeredPathMatchesRewrite) {
   // rewrite() spelled out layer by layer, the way perfbench's traced replay
-  // runs it: build_ir without scratch, the mandatory checks around the
-  // transforms, and a directly constructed Reassembler. Both paths must
-  // produce the same bytes.
+  // runs it: build_ir, the mandatory checks around the transforms, and a
+  // directly constructed Reassembler. Both paths must produce the same
+  // bytes.
   auto layered = [](const zelf::Image& input, const RewriteOptions& options) -> Result<Bytes> {
     ZIPR_ASSIGN_OR_RETURN(analysis::IrProgram prog,
                           analysis::build_ir(input, options.analysis));

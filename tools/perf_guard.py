@@ -67,14 +67,14 @@ def load_json(path):
 
 
 # Absolute gates for the BM_RewriteLarge size sweep (see guard_micro).
-# The bench now measures WARM iterations through the benchmark thread's
-# RewriteWorkspace (one untimed fill before the AllocScope), the way a
-# serve/batch worker runs: measured ~680 allocs/op at x1 after the
-# workspace + recycled-scratch work (down from ~1.4k without, and ~226k
-# before the flat-IR rework), so 2k leaves headroom without readmitting
-# per-request table rebuilds. The peak-heap ceiling is ~2x the measured
-# ~2.8 MB warm transient footprint of the x1 rewrite. The scaling slack is
-# the issue's 1.5x-of-linear bound for the x50 sweep.
+# The bench measures WARM iterations through the benchmark thread's
+# RewriteWorkspace arena (one untimed fill before the AllocScope), the way a
+# serve/batch worker runs: ~680 allocs/op at x1 when the analysis tables
+# were recycled too, ~710 since they are allocated per rewrite (~1.4k with
+# no recycling, ~226k before the flat-IR rework), so 2k leaves headroom
+# without readmitting per-request arena rebuilds. The peak-heap ceiling is
+# ~2x the measured 2.8-3.3 MB warm transient footprint of the x1 rewrite.
+# The scaling slack is the 1.5x-of-linear bound for the x50 sweep.
 MICRO_SWEEP_BENCH = "BM_RewriteLarge"
 MICRO_BASE_ARG = 1
 MICRO_TOP_ARG = 50
