@@ -1,4 +1,4 @@
-// Shared helpers for the figure-reproduction and timing benchmarks: corpus
+// Shared helpers for the figure-reproduction benchmarks: corpus
 // evaluation under named configurations and paper-style text rendering
 // (histograms, bar rows, PASS/FAIL claim checks).
 #pragma once

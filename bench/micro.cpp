@@ -3,15 +3,15 @@
 // operations, free-space allocation and placement under heavy
 // fragmentation, VM execution, and the end-to-end rewrite itself.
 //
-// The `perf_smoke` CMake target runs this suite into build/BENCH_micro.json
-// and gates it with tools/perf_guard.py: against the committed
-// BENCH_micro.json, and (--micro) against absolute ceilings.
+// A profiling aid: no gate reads its output. perfbench/ is the benchmark
+// that compares runs, and tests/footprint_test.cpp holds the rewrite's
+// allocation and peak-heap ceilings.
 #include <benchmark/benchmark.h>
 
-#include <atomic>
+#include <malloc.h>
+
 #include <cstdlib>
 #include <map>
-#include <new>
 
 #include "asm/assembler.h"
 #include "batch/batch_rewriter.h"
@@ -25,86 +25,9 @@
 #include "zipr/placement.h"
 #include "zipr/zipr.h"
 
-// ---- allocation accounting ----
-//
-// Replacement global new/delete counting every heap allocation, so the
-// rewrite benchmarks can report allocations per iteration alongside
-// throughput: the zero-copy emission work is visible as a falling
-// allocs-per-rewrite counter, and a regression shows up in BENCH_micro.json
-// even when wall-clock noise hides it.
-//
-// Live bytes are tracked too (via malloc_usable_size, so frees can subtract
-// without a size tag), and a CAS-max over the live count yields a peak-heap
-// watermark: unlike process RSS it is resettable per benchmark and is not
-// polluted by whatever ran earlier in the process.
-
-#include <malloc.h>
-
-namespace {
-std::atomic<std::uint64_t> g_alloc_count{0};
-std::atomic<std::uint64_t> g_alloc_bytes{0};
-std::atomic<std::uint64_t> g_live_bytes{0};
-std::atomic<std::uint64_t> g_peak_live{0};
-}  // namespace
-
-void* operator new(std::size_t size) {
-  g_alloc_count.fetch_add(1, std::memory_order_relaxed);
-  g_alloc_bytes.fetch_add(size, std::memory_order_relaxed);
-  void* p = std::malloc(size);
-  if (!p) throw std::bad_alloc();
-  std::uint64_t usable = malloc_usable_size(p);
-  std::uint64_t live = g_live_bytes.fetch_add(usable, std::memory_order_relaxed) + usable;
-  std::uint64_t peak = g_peak_live.load(std::memory_order_relaxed);
-  while (live > peak &&
-         !g_peak_live.compare_exchange_weak(peak, live, std::memory_order_relaxed)) {
-  }
-  return p;
-}
-
-void* operator new[](std::size_t size) { return ::operator new(size); }
-
-void operator delete(void* p) noexcept {
-  if (p) g_live_bytes.fetch_sub(malloc_usable_size(p), std::memory_order_relaxed);
-  std::free(p);
-}
-void operator delete[](void* p) noexcept { ::operator delete(p); }
-void operator delete(void* p, std::size_t) noexcept { ::operator delete(p); }
-void operator delete[](void* p, std::size_t) noexcept { ::operator delete(p); }
-
 namespace {
 
 using namespace zipr;
-
-/// RAII scope measuring heap traffic across a benchmark's iterations and
-/// reporting it as per-iteration counters, plus the peak heap growth above
-/// the scope's starting level ("peak_heap_B", absolute: scratch memory one
-/// rewrite holds at its high-water mark, since per-rewrite scratch is freed
-/// between iterations).
-class AllocScope {
- public:
-  explicit AllocScope(benchmark::State& state)
-      : state_(state),
-        count0_(g_alloc_count.load(std::memory_order_relaxed)),
-        bytes0_(g_alloc_bytes.load(std::memory_order_relaxed)),
-        live0_(g_live_bytes.load(std::memory_order_relaxed)) {
-    g_peak_live.store(live0_, std::memory_order_relaxed);
-  }
-
-  ~AllocScope() {
-    auto iters = static_cast<double>(std::max<std::int64_t>(state_.iterations(), 1));
-    state_.counters["allocs/op"] = benchmark::Counter(
-        static_cast<double>(g_alloc_count.load(std::memory_order_relaxed) - count0_) / iters);
-    state_.counters["alloc_B/op"] = benchmark::Counter(
-        static_cast<double>(g_alloc_bytes.load(std::memory_order_relaxed) - bytes0_) / iters);
-    std::uint64_t peak = g_peak_live.load(std::memory_order_relaxed);
-    state_.counters["peak_heap_B"] =
-        benchmark::Counter(peak > live0_ ? static_cast<double>(peak - live0_) : 0.0);
-  }
-
- private:
-  benchmark::State& state_;
-  std::uint64_t count0_, bytes0_, live0_;
-};
 
 // ---- shared fixtures ----
 //
@@ -132,49 +55,18 @@ const cgc::CbProgram& shared_cb(std::size_t index) {
   return it->second;
 }
 
-/// A synthetic large binary: far more handlers/straight-line code than any
-/// corpus CB, approximating the paper's "real-world binary" scale for the
-/// end-to-end rewrite benchmark. `scale` multiplies the text-dominating
-/// knobs (straight-line code and filler functions), so scale=50 yields a
-/// ~5 MB text segment; scale=1 is the historical BM_RewriteLarge input.
+/// The synthetic large binary at `scale` (cgc::synthetic_large_spec), in
+/// the widened layout the larger sizes need.
 const cgc::CbProgram& shared_large_cb(int scale) {
   static std::map<int, cgc::CbProgram> cache;
   auto it = cache.find(scale);
   if (it == cache.end()) {
-    cgc::CbSpec spec;
-    spec.name = "synthetic-large-x" + std::to_string(scale);
-    spec.seed = 99;
-    spec.handlers = 24;
-    spec.dispatch = cgc::DispatchMode::kFptrTable;
-    spec.filler_funcs = 48 * scale;
-    spec.filler_ops = 24;
-    spec.straightline = 600 * scale;
-    spec.scratch_pages = 4;
-    spec.data_in_text = true;
-    spec.payload_max = 12;
-    // The default layout leaves 2 MB between text and rodata; the larger
-    // sweep points need more, so assemble with a widened segment layout
-    // (the rewriter takes segment bounds from the image, not constants).
-    cgc::CbProgram prog;
-    prog.spec = spec;
-    auto src = cgc::generate_cb_source(spec, &prog.payload_len);
-    if (src.ok()) {
-      assembler::Options opts;
-      opts.emit_symbols = false;
-      opts.rodata_base = 0x4000000;  // 60 MB of text headroom
-      opts.data_base = 0x4100000;
-      opts.bss_base = 0x4180000;
-      auto img = assembler::assemble(*src, opts);
-      if (!img.ok()) {
-        std::fprintf(stderr, "large CB assembly failed: %s\n", img.error().message.c_str());
-        std::abort();
-      }
-      prog.image = std::move(*img);
-    } else {
-      std::fprintf(stderr, "large CB generation failed: %s\n", src.error().message.c_str());
+    auto r = cgc::generate_wide_cb(cgc::synthetic_large_spec(scale));
+    if (!r.ok()) {
+      std::fprintf(stderr, "large CB generation failed: %s\n", r.error().message.c_str());
       std::abort();
     }
-    it = cache.emplace(scale, std::move(prog)).first;
+    it = cache.emplace(scale, std::move(*r)).first;
   }
   return it->second;
 }
@@ -447,7 +339,6 @@ BENCHMARK(BM_SyscallIO);
 void BM_RewriteCb(benchmark::State& state) {
   const auto& cb = shared_cb(static_cast<std::size_t>(state.range(0)));
   std::size_t text = cb.image.text().bytes.size();
-  AllocScope allocs(state);
   for (auto _ : state) {
     auto r = rewrite(cb.image, {});
     benchmark::DoNotOptimize(r->image.entry);
@@ -458,29 +349,24 @@ void BM_RewriteCb(benchmark::State& state) {
 BENCHMARK(BM_RewriteCb)->Arg(0)->Arg(40)->Arg(61);
 
 // End-to-end rewrite throughput on the synthetic large binary, swept
-// across text sizes (x1 ~106 KB up to x50 ~5 MB). The sweep is the
-// big-binary scaling curve: tools/perf_guard.py --micro checks that x50
-// wall time stays within 1.5x of linear extrapolation from x1 (flat IR +
-// arena reuse keep per-instruction cost size-independent) and gates
-// allocs/op and peak_heap_B on the x1 row absolutely.
+// across text sizes (x1 ~106 KB up to x50 ~5 MB): the big-binary scaling
+// curve. perfbench's `large` workload times x10 and x50 against the parent
+// commit on the same host.
 //
 // Iterations share the benchmark thread's RewriteWorkspace, the way a
 // serve/batch worker recycles its reassembly arena across requests: warm
 // iterations bump into retained arena chunks instead of re-allocating
 // them, while the analysis tables are allocated afresh by every rewrite.
-// The x1 allocs/op ceiling measures both.
 void BM_RewriteLarge(benchmark::State& state) {
   const auto& cb = shared_large_cb(static_cast<int>(state.range(0)));
   std::size_t text = cb.image.text().bytes.size();
   // One untimed rewrite fills the thread's arena to this size's
-  // steady-state capacity, so AllocScope's baseline includes the retained
-  // chunks and the counters below measure WARM iterations: what a serve
-  // worker pays per request, not the first-request fill.
+  // steady-state capacity, so the loop times WARM iterations: what a
+  // serve worker pays per request, not the first-request fill.
   {
     auto r = rewrite(cb.image, {});
     benchmark::DoNotOptimize(r->image.entry);
   }
-  AllocScope allocs(state);
   for (auto _ : state) {
     auto r = rewrite(cb.image, {});
     benchmark::DoNotOptimize(r->image.entry);
@@ -489,8 +375,8 @@ void BM_RewriteLarge(benchmark::State& state) {
   state.SetLabel(cb.spec.name + " (" + std::to_string(text) + "B text)");
 }
 // MinTime keeps the big sizes from being judged on two iterations (the
-// first of which faults its whole working set cold): the x50 scaling gate
-// in perf_guard --micro wants a steady-state mean, not cold-start jitter.
+// first of which faults its whole working set cold): a steady-state mean,
+// not cold-start jitter.
 BENCHMARK(BM_RewriteLarge)->Arg(1)->Arg(10)->Arg(25)->Arg(50)->MinTime(3.0);
 
 // Batch-rewrite a 16-image corpus slice on 1/2/4/8 workers. Wall-clock
@@ -513,7 +399,7 @@ void BM_BatchRewrite(benchmark::State& state) {
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations() * images.size()));
   // The worker count actually used (requested jobs capped by the corpus
-  // size), so a reader of BENCH_micro.json can tell pool-scaling rows
+  // size), so a reader of the JSON output can tell pool-scaling rows
   // apart without parsing the benchmark name.
   state.counters["workers"] = benchmark::Counter(
       static_cast<double>(batch::effective_jobs(opts.jobs, images.size())));

@@ -405,14 +405,42 @@ Result<std::string> generate_cb_source(const CbSpec& spec, std::vector<int>* pay
   return builder.build(payload_len);
 }
 
-Result<CbProgram> generate_cb(const CbSpec& spec) {
+namespace {
+
+Result<CbProgram> assemble_cb(const CbSpec& spec, assembler::Options opts) {
   CbProgram prog;
   prog.spec = spec;
   ZIPR_ASSIGN_OR_RETURN(std::string src, generate_cb_source(spec, &prog.payload_len));
-  assembler::Options opts;
   opts.emit_symbols = false;  // CBs ship without metadata
   ZIPR_ASSIGN_OR_RETURN(prog.image, assembler::assemble(src, opts));
   return prog;
+}
+
+}  // namespace
+
+Result<CbProgram> generate_cb(const CbSpec& spec) { return assemble_cb(spec, {}); }
+
+Result<CbProgram> generate_wide_cb(const CbSpec& spec) {
+  assembler::Options opts;
+  opts.rodata_base = 0x4000000;  // 60 MB of text headroom
+  opts.data_base = 0x4100000;
+  opts.bss_base = 0x4180000;
+  return assemble_cb(spec, opts);
+}
+
+CbSpec synthetic_large_spec(int scale, std::uint64_t seed) {
+  CbSpec spec;
+  spec.name = "synthetic-large-x" + std::to_string(scale);
+  spec.seed = seed;
+  spec.handlers = 24;
+  spec.dispatch = DispatchMode::kFptrTable;
+  spec.filler_funcs = 48 * scale;
+  spec.filler_ops = 24;
+  spec.straightline = 600 * scale;
+  spec.scratch_pages = 4;
+  spec.data_in_text = true;
+  spec.payload_max = 12;
+  return spec;
 }
 
 std::vector<CbSpec> cfe_corpus() {

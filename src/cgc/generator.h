@@ -67,6 +67,18 @@ struct CbProgram {
 /// Generate one CB (deterministic in spec.seed).
 Result<CbProgram> generate_cb(const CbSpec& spec);
 
+/// Generate one CB with its data segments moved past the default 2 MB
+/// text/rodata gap (rodata at 64 MB), so that a text of several MB and its
+/// rewrite fit. The rewriter reads segment bounds from the image.
+Result<CbProgram> generate_wide_cb(const CbSpec& spec);
+
+/// The synthetic large binary at `scale`: 24 function-pointer handlers of
+/// 600*scale straight-line instructions each, over 48*scale filler
+/// functions, with data in text. It approximates a real-world binary's
+/// size: x1 has about 106 KB of text, x50 about 5.1 MB. x1 fits the
+/// default layout; larger scales need generate_wide_cb.
+CbSpec synthetic_large_spec(int scale, std::uint64_t seed = 99);
+
 /// The evaluation corpus: 62 CB specs mirroring the CFE set's diversity,
 /// including one deliberately pathological CB (many pins + large dollops,
 /// the >50 % memory outlier of the paper's Fig. 6).

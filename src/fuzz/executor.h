@@ -4,7 +4,8 @@
 // restoring the snapshot between runs instead of re-linking and re-mapping
 // the address space. Dirty-page tracking in vm::Memory makes the restore
 // proportional to the pages a run actually wrote, so resets are much
-// cheaper than a full VM rebuild (bench/fuzz_overhead gates the speedup).
+// cheaper than a full VM rebuild (perfbench's `fuzz` workload pays one
+// restore per exec).
 //
 // After every run the executor reads the coverage map (transform/cov.h's
 // ABI) straight out of guest memory and bucket-classifies the 8-bit hit

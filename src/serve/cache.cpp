@@ -222,8 +222,8 @@ void ArtifactCache::insert_locked(const CacheKey& key, Artifact artifact, bool p
   stats_.bytes += charge;
   ++stats_.insertions;
   // Spill AFTER the in-memory insert so the record written is exactly what
-  // a hit would serve. Replayed records pass persist=false: re-appending
-  // them on attach would double the file every restart.
+  // a hit would serve. attach_file replays with persist=false and then
+  // writes the entries that survived eviction itself.
   if (persist) append_record_locked(key, *slot.first->second.artifact);
 }
 
@@ -286,26 +286,27 @@ Status ArtifactCache::attach_file(const std::string& path) {
     }
   }
 
-  // Compact: rewrite the file to exactly the surviving records. This both
-  // truncates corruption and garbage-collects superseded duplicates from
-  // earlier runs, so the file cannot grow without bound across restarts.
   std::FILE* out = std::fopen(path.c_str(), "wb");
   if (out == nullptr)
     return Error::invalid_argument("artifact cache: cannot open " + path + " for writing");
+  // Oldest-first replay: later records land at the front of the LRU,
+  // reproducing the recency order of the previous run's inserts, and the
+  // byte budget evicts what no longer fits.
+  for (auto& [key, artifact] : good) insert_locked(key, std::move(artifact), /*persist=*/false);
+
+  // Compact: rewrite the file to exactly the entries the cache kept,
+  // oldest first. This truncates corruption and drops superseded
+  // duplicates and evicted records, so the file holds no more than the
+  // byte budget admits.
   const Bytes header = encode_header();
-  bool ok = std::fwrite(header.data(), 1, header.size(), out) == header.size();
-  persist_ = out;
-  for (auto& [key, artifact] : good) {
-    // Oldest-first replay: later records land at the front of the LRU,
-    // reproducing the recency order of the previous run's inserts.
-    insert_locked(key, std::move(artifact), /*persist=*/ok);
-  }
-  if (!ok) {
-    std::fclose(persist_);
-    persist_ = nullptr;
+  if (std::fwrite(header.data(), 1, header.size(), out) != header.size()) {
+    std::fclose(out);
     return Error::invalid_argument("artifact cache: cannot write header to " + path);
   }
-  if (std::fflush(persist_) != 0) {
+  persist_ = out;
+  for (auto it = lru_.rbegin(); it != lru_.rend(); ++it)
+    append_record_locked(*it, *entries_.at(*it).artifact);
+  if (persist_ != nullptr && std::fflush(persist_) != 0) {
     ZIPR_WARN << "artifact cache: flush of compacted " << path << " failed";
   }
   return Status::success();

@@ -102,8 +102,9 @@ class ArtifactCache {
   /// cache (each re-verified -- checksum AND a key recomputed from the
   /// stored options text + input bytes -- so a corrupted or tampered file
   /// degrades to a smaller cache, never to a wrong answer), compact it to
-  /// exactly those records, then append every future insert() to it. A
-  /// missing file starts empty; an unwritable path is the only error.
+  /// exactly the entries the byte budget keeps, then append every future
+  /// insert() to it. A missing file starts empty; an unwritable path is the
+  /// only error.
   Status attach_file(const std::string& path);
 
   /// Drop every in-memory entry (hit/miss counters survive; the attached

@@ -5,7 +5,6 @@
 #include "analysis/disasm.h"
 #include "analysis/ir_builder.h"
 #include "analysis/pinning.h"
-#include "asm/assembler.h"
 #include "cgc/generator.h"
 #include "cgc/workload.h"
 #include "support/rng.h"
@@ -287,28 +286,9 @@ TEST(Aggregate, GapSweepCountMatchesFullSweepOnSyntheticPool) {
   for (int scale = 1; scale <= 4; ++scale) {
     const std::string kind = "x" + std::to_string(scale);
     for (std::uint64_t index = 0; index < 8; ++index) {
-      cgc::CbSpec spec;
-      spec.name = "synthetic-large-" + kind;
-      spec.seed = pool_seed(kind, index);
-      spec.handlers = 24;
-      spec.dispatch = cgc::DispatchMode::kFptrTable;
-      spec.filler_funcs = 48 * scale;
-      spec.filler_ops = 24;
-      spec.straightline = 600 * scale;
-      spec.scratch_pages = 4;
-      spec.data_in_text = true;
-      spec.payload_max = 12;
-      std::vector<int> payload_len;
-      auto src = cgc::generate_cb_source(spec, &payload_len);
-      ASSERT_TRUE(src.ok());
-      assembler::Options aopts;
-      aopts.emit_symbols = false;
-      aopts.rodata_base = 0x4000000;
-      aopts.data_base = 0x4100000;
-      aopts.bss_base = 0x4180000;
-      auto img = assembler::assemble(*src, aopts);
-      ASSERT_TRUE(img.ok()) << img.error().message;
-      total += expect_gap_sweep_matches_full_sweep(*img, kind + "#" + std::to_string(index));
+      auto cb = cgc::generate_wide_cb(cgc::synthetic_large_spec(scale, pool_seed(kind, index)));
+      ASSERT_TRUE(cb.ok()) << cb.error().message;
+      total += expect_gap_sweep_matches_full_sweep(cb->image, kind + "#" + std::to_string(index));
     }
   }
   EXPECT_GT(total, 0u);

@@ -135,24 +135,9 @@ std::uint64_t fnv1a(std::uint64_t h, ByteView bytes) {
   return h;
 }
 
-CbSpec synthetic_large_x1() {
-  CbSpec spec;
-  spec.name = "synthetic-large-x1";
-  spec.seed = 99;
-  spec.handlers = 24;
-  spec.dispatch = DispatchMode::kFptrTable;
-  spec.filler_funcs = 48;
-  spec.filler_ops = 24;
-  spec.straightline = 600;
-  spec.scratch_pages = 4;
-  spec.data_in_text = true;
-  spec.payload_max = 12;
-  return spec;
-}
-
 TEST(Golden, CorpusOutputDigest) {
   auto specs = cfe_corpus();
-  specs.push_back(synthetic_large_x1());
+  specs.push_back(synthetic_large_spec(1));
   const rewriter::PlacementKind kinds[] = {rewriter::PlacementKind::kNearfit,
                                            rewriter::PlacementKind::kDiversity,
                                            rewriter::PlacementKind::kPinPage};

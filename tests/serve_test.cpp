@@ -634,6 +634,54 @@ TEST(ArtifactCache, ReinsertingAPresentKeyAppendsNoSecondRecord) {
   std::remove(path.c_str());
 }
 
+TEST(ArtifactCache, RestartKeepsOnlyTheRecordsTheBudgetHolds) {
+  // The budget holds 3 of the 10 artifacts inserted. Compaction on attach
+  // must write back only those 3, or every evicted record is replayed and
+  // the file keeps all of them across restarts.
+  constexpr std::size_t kBudget = 3 * (256 + 1 + 1 + 100);
+  auto key_of = [](char tag) {
+    Bytes b = {static_cast<Byte>(tag)};
+    return make_cache_key(b, "o");
+  };
+  auto artifact = [](char tag) {
+    Artifact a = tiny_artifact(std::string(1, tag), 100);
+    a.options_text = "o";
+    return a;
+  };
+  const std::string path = temp_cache_path("budget");
+  const std::string survivors_path = temp_cache_path("budget_survivors");
+  std::remove(path.c_str());
+  std::remove(survivors_path.c_str());
+  {
+    ArtifactCache cache(kBudget);
+    ASSERT_TRUE(cache.attach_file(path).ok());
+    for (char t : std::string("abcdefghij")) cache.insert(key_of(t), artifact(t));
+    ASSERT_EQ(cache.entry_count(), 3u);
+  }
+  {
+    ArtifactCache cache(kBudget);
+    ASSERT_TRUE(cache.attach_file(survivors_path).ok());
+    for (char t : std::string("hij")) cache.insert(key_of(t), artifact(t));
+  }
+  const auto survivors_size = std::filesystem::file_size(survivors_path);
+  for (int restart = 0; restart < 3; ++restart) {
+    ArtifactCache cache(kBudget);
+    ASSERT_TRUE(cache.attach_file(path).ok());
+    EXPECT_EQ(cache.entry_count(), 3u);
+    EXPECT_EQ(std::filesystem::file_size(path), survivors_size) << "restart " << restart;
+  }
+  // The compacted file keeps the recency order: one more insert evicts 'h'.
+  ArtifactCache cache(kBudget);
+  ASSERT_TRUE(cache.attach_file(path).ok());
+  cache.insert(key_of('k'), artifact('k'));
+  Bytes h_in = {'h'};
+  Bytes i_in = {'i'};
+  EXPECT_EQ(cache.lookup(key_of('h'), h_in), nullptr);
+  EXPECT_NE(cache.lookup(key_of('i'), i_in), nullptr);
+  std::remove(path.c_str());
+  std::remove(survivors_path.c_str());
+}
+
 // ---- serve engine: recycled workspaces ----
 
 // Input variants that differ only in extra .data payload: each is its own
@@ -795,32 +843,12 @@ TEST(ServeCorpus, WarmHitsAndDeltaRepliesMatchDirectRewrites) {
   }
 }
 
-/// The micro suite's synthetic large binary at `scale` (x10 is about 1 MB
-/// of text), with segments moved past the default 2 MB text/rodata gap so
-/// the rewritten text fits.
+/// The synthetic large binary at `scale` (x10 is about 1 MB of text), in
+/// the widened segment layout.
 Bytes synthetic_large(int scale) {
-  cgc::CbSpec spec;
-  spec.name = "synthetic-large-x" + std::to_string(scale);
-  spec.seed = 99;
-  spec.handlers = 24;
-  spec.dispatch = cgc::DispatchMode::kFptrTable;
-  spec.filler_funcs = 48 * scale;
-  spec.filler_ops = 24;
-  spec.straightline = 600 * scale;
-  spec.scratch_pages = 4;
-  spec.data_in_text = true;
-  spec.payload_max = 12;
-  std::vector<int> payload_len;
-  auto src = cgc::generate_cb_source(spec, &payload_len);
-  EXPECT_TRUE(src.ok());
-  assembler::Options aopts;
-  aopts.emit_symbols = false;
-  aopts.rodata_base = 0x4000000;
-  aopts.data_base = 0x4100000;
-  aopts.bss_base = 0x4180000;
-  auto img = assembler::assemble(*src, aopts);
-  EXPECT_TRUE(img.ok()) << (img.ok() ? "" : img.error().message);
-  return zelf::write_image(*img);
+  auto cb = cgc::generate_wide_cb(cgc::synthetic_large_spec(scale));
+  EXPECT_TRUE(cb.ok()) << (cb.ok() ? "" : cb.error().message);
+  return cb.ok() ? zelf::write_image(cb->image) : Bytes{};
 }
 
 TEST(ServeCorpus, ColdStartMatchesRecycledWorkspacesAndAFreshThread) {

@@ -108,13 +108,14 @@ inline void check_flags(const Args& args, const std::vector<std::string>& known)
   }
 }
 
-/// Strictly-parsed unsigned integer flag. Unlike a bare strtoull (which
+/// Strictly-parsed unsigned decimal flag. Unlike a bare strtoull (which
 /// silently yields 0 or a wrapped value), malformed text, trailing
 /// garbage, signs, and out-of-range values all die with the offending
 /// text, so `--jobs=banana` or `--seed=-1` can never be mistaken for a
-/// configuration. `min` lets flags where zero is meaningless (--shards=0)
-/// reject it by name instead of tripping some distant divide or
-/// empty-pool hang.
+/// configuration. A leading zero is not octal and `0x` is not hex:
+/// `--seed=010` is seed 10 and `--seed=0x8` is an error. `min` lets flags
+/// where zero is meaningless (--shards=0) reject it by name instead of
+/// tripping some distant divide or empty-pool hang.
 inline std::uint64_t checked_u64(const Args& args, const std::string& key,
                                  std::uint64_t fallback,
                                  std::uint64_t max = UINT64_MAX,
@@ -127,7 +128,7 @@ inline std::uint64_t checked_u64(const Args& args, const std::string& key,
     die("invalid --" + key + " value '" + *v + "': expected an unsigned integer");
   errno = 0;
   char* end = nullptr;
-  unsigned long long parsed = std::strtoull(s, &end, 0);
+  unsigned long long parsed = std::strtoull(s, &end, 10);
   if (end == s || *end != '\0')
     die("invalid --" + key + " value '" + *v + "': expected an unsigned integer");
   if (errno == ERANGE || parsed > max)
