@@ -353,16 +353,15 @@ BENCHMARK(BM_RewriteCb)->Arg(0)->Arg(40)->Arg(61);
 // curve. perfbench's `large` workload times x10 and x50 against the parent
 // commit on the same host.
 //
-// Iterations share the benchmark thread's RewriteWorkspace, the way a
-// serve/batch worker recycles its reassembly arena across requests: warm
-// iterations bump into retained arena chunks instead of re-allocating
-// them, while the analysis tables are allocated afresh by every rewrite.
+// Every iteration allocates its own analysis tables and reassembly memory,
+// as every serve or batch request does: a rewrite keeps nothing between
+// calls.
 void BM_RewriteLarge(benchmark::State& state) {
   const auto& cb = shared_large_cb(static_cast<int>(state.range(0)));
   std::size_t text = cb.image.text().bytes.size();
-  // One untimed rewrite fills the thread's arena to this size's
-  // steady-state capacity, so the loop times WARM iterations: what a
-  // serve worker pays per request, not the first-request fill.
+  // One untimed rewrite faults in the input and warms the allocator, so
+  // the loop times WARM iterations: what a serve worker pays per request,
+  // not the first request's page faults.
   {
     auto r = rewrite(cb.image, {});
     benchmark::DoNotOptimize(r->image.entry);

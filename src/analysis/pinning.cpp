@@ -1,7 +1,5 @@
 #include "analysis/pinning.h"
 
-#include "support/log.h"
-
 namespace zipr::analysis {
 
 namespace {
@@ -54,8 +52,6 @@ PinSet compute_pins(const zelf::Image& image, const Aggregate& agg,
       return;
     }
     out.dropped.insert(addr);
-    ZIPR_WARN << "pinning: candidate " << hex_addr(addr)
-              << " is neither an instruction start nor verbatim; dropping";
   };
 
   if (image.entry != 0) add_pin(image.entry, kPinEntry);

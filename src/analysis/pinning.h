@@ -67,8 +67,9 @@ struct PinSet {
   /// Candidate pins satisfied implicitly because they lie inside verbatim
   /// ranges (the bytes stay at their original addresses).
   std::set<std::uint64_t> covered_by_verbatim;
-  /// Candidate pins dropped with a warning: they name neither an
-  /// instruction start nor a verbatim byte (Case-4-style suspects).
+  /// Candidate pins dropped: they name neither an instruction start nor a
+  /// verbatim byte (Case-4-style suspects). Counted as
+  /// AnalysisStats::pins_dropped (zipr-cli --stats), not logged.
   std::set<std::uint64_t> dropped;
 };
 

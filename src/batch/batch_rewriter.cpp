@@ -29,9 +29,6 @@ BatchItem run_task(const BatchTask& task, const RewriteOptions& defaults) {
   };
   try {
     const RewriteOptions& opts = task.options ? *task.options : defaults;
-    // Tasks on the same worker recycle that thread's reassembly arena, so
-    // a 100-binary corpus allocates arena chunks ~jobs times, not 100
-    // times. The arena never affects output bytes.
     if (const auto* factory = std::get_if<ImageFactory>(&task.input)) {
       if (!*factory)
         return finish(Error::invalid_argument("batch task '" + task.name +

@@ -125,9 +125,7 @@ Result<ServeResponse> ServeEngine::handle(ByteView input, const RewriteOptions& 
   }
 
   // 3. Cold path. Failures return here WITHOUT touching the cache: caching
-  //    an error artifact would poison every retry of this key. rewrite()
-  //    reassembles in this thread's workspace arena, so repeated cold
-  //    misses on one thread recycle its chunks (never the output).
+  //    an error artifact would poison every retry of this key.
   auto rewritten = rewrite(*image, options);
   if (!rewritten.ok()) return fail(rewritten.error());
 

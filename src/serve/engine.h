@@ -83,7 +83,7 @@ class ServeEngine {
 
   /// Drop every in-memory cache entry (the persistence file, if any, is
   /// untouched). Benchmarks use this to re-run the cold path on a warm
-  /// process -- with the serving threads' reassembly arenas still warm.
+  /// process.
   void clear_cache();
 
   ServeStats stats() const;

@@ -1,16 +1,14 @@
 // Monotonic (bump) arena for per-rewrite scratch structures.
 //
 // The rewrite pipeline builds many short-lived, densely-linked structures
-// (dollops, placement bookkeeping) whose lifetimes all end together when
-// the rewrite finishes. A monotonic arena turns those thousands of
-// individual heap operations into pointer bumps over a few retained
-// chunks: reset() rewinds to empty but KEEPS the chunks, so a warm serve
-// or batch worker pays malloc only on its first rewrite (and whenever a
-// later input needs more capacity than any earlier one did).
+// (dollops and their chains) whose lifetimes all end together when the
+// rewrite finishes. A monotonic arena turns those thousands of individual
+// heap operations into pointer bumps over a few geometrically growing
+// chunks, all freed at once when the arena dies. Nothing rewinds an arena:
+// its owner (the DollopManager) lives for exactly one rewrite.
 //
-// Not thread-safe: each worker owns its own arena (see the thread_local in
-// zipr::this_thread_workspace(), src/zipr/workspace.cpp).
-// Trivially-destructible payloads only -- reset() does not run destructors.
+// Not thread-safe: an arena belongs to the one object that bumps it.
+// Trivially-destructible payloads only -- the arena runs no destructors.
 #pragma once
 
 #include <cstddef>
@@ -24,9 +22,7 @@ namespace zipr {
 
 class MonotonicArena {
  public:
-  explicit MonotonicArena(std::size_t first_chunk = kDefaultChunk)
-      : next_chunk_size_(first_chunk ? first_chunk : kDefaultChunk) {}
-
+  MonotonicArena() = default;
   MonotonicArena(const MonotonicArena&) = delete;
   MonotonicArena& operator=(const MonotonicArena&) = delete;
 
@@ -34,18 +30,18 @@ class MonotonicArena {
   /// chunk-allocation failure, like operator new).
   void* allocate(std::size_t bytes, std::size_t align) {
     std::size_t off = (cursor_ + (align - 1)) & ~(align - 1);
-    if (chunk_ >= chunks_.size() || off + bytes > chunks_[chunk_].size) {
+    if (chunks_.empty() || off + bytes > chunks_.back().size) {
       next_chunk(bytes + align);
       off = (cursor_ + (align - 1)) & ~(align - 1);
     }
     cursor_ = off + bytes;
-    return chunks_[chunk_].data.get() + off;
+    return chunks_.back().data.get() + off;
   }
 
   template <typename T>
   T* alloc_array(std::size_t n) {
     static_assert(std::is_trivially_destructible_v<T>,
-                  "arena reset() does not run destructors");
+                  "the arena runs no destructors");
     return static_cast<T*>(allocate(n * sizeof(T), alignof(T)));
   }
 
@@ -53,43 +49,8 @@ class MonotonicArena {
   template <typename T, typename... Args>
   T* create(Args&&... args) {
     static_assert(std::is_trivially_destructible_v<T>,
-                  "arena reset() does not run destructors");
+                  "the arena runs no destructors");
     return ::new (allocate(sizeof(T), alignof(T))) T(static_cast<Args&&>(args)...);
-  }
-
-  /// Rewind to empty, retaining every chunk for reuse.
-  void reset() {
-    chunk_ = 0;
-    cursor_ = 0;
-  }
-
-  /// Total bytes owned (capacity, not live bytes).
-  std::size_t retained_bytes() const {
-    std::size_t total = 0;
-    for (const auto& c : chunks_) total += c.size;
-    return total;
-  }
-
-  /// Bytes bumped since the last reset(): the demand of the current cycle.
-  /// Capacity-granular (whole chunks behind the bump chunk count fully),
-  /// which is exactly the granularity trim() can release at.
-  std::size_t used_bytes() const {
-    std::size_t total = 0;
-    for (std::size_t i = 0; i < chunk_ && i < chunks_.size(); ++i)
-      total += chunks_[i].size;
-    return total + cursor_;
-  }
-
-  /// Release whole chunks (largest first: growth is geometric, so the
-  /// biggest capacity sits at the back) until at most `budget` bytes stay
-  /// retained. Also rewinds to empty and restarts the growth schedule from
-  /// the surviving capacity, so one oversized request does not pin its
-  /// high-water mark -- or its doubled next-chunk size -- forever.
-  void trim(std::size_t budget) {
-    while (!chunks_.empty() && retained_bytes() > budget) chunks_.pop_back();
-    next_chunk_size_ = chunks_.empty() ? kDefaultChunk : chunks_.back().size * 2;
-    chunk_ = 0;
-    cursor_ = 0;
   }
 
  private:
@@ -101,30 +62,20 @@ class MonotonicArena {
   };
 
   void next_chunk(std::size_t min_bytes) {
-    // Advance through retained chunks; later chunks are geometrically larger,
-    // so skipping a too-small one wastes at most its (smaller) capacity until
-    // the next reset.
-    while (chunk_ + 1 < chunks_.size()) {
-      ++chunk_;
-      cursor_ = 0;
-      if (chunks_[chunk_].size >= min_bytes) return;
-    }
     std::size_t size = next_chunk_size_ < min_bytes ? min_bytes : next_chunk_size_;
-    chunks_.push_back({std::make_unique<std::byte[]>(size), size});
+    chunks_.push_back({std::make_unique_for_overwrite<std::byte[]>(size), size});
     next_chunk_size_ = size * 2;
-    chunk_ = chunks_.size() - 1;
     cursor_ = 0;
   }
 
   std::vector<Chunk> chunks_;
-  std::size_t chunk_ = 0;        ///< index of the chunk being bumped
-  std::size_t cursor_ = 0;       ///< bump offset within chunks_[chunk_]
-  std::size_t next_chunk_size_;  ///< geometric growth schedule
+  std::size_t cursor_ = 0;                       ///< bump offset within chunks_.back()
+  std::size_t next_chunk_size_ = kDefaultChunk;  ///< geometric growth schedule
 };
 
 /// A growable array whose storage lives in a MonotonicArena.
 /// Grows geometrically by allocating a larger arena block and copying;
-/// abandoned blocks are reclaimed wholesale at arena reset.
+/// abandoned blocks are reclaimed wholesale when the arena dies.
 template <typename T>
 class ArenaVector {
   static_assert(std::is_trivially_copyable_v<T> && std::is_trivially_destructible_v<T>);

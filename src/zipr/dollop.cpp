@@ -29,7 +29,7 @@ std::uint64_t estimated_size(irdb::ConstRowRef row) {
 
 Dollop* DollopManager::split(Dollop* d, std::size_t pos) {
   assert(pos > 0 && pos < d->insns.size());
-  Dollop* tail = arena_->create<Dollop>();
+  Dollop* tail = arena_.create<Dollop>();
   tail->insns = d->insns.subspan(pos);
   tail->chain = d->chain;
   tail->continuation = d->continuation;

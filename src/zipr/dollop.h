@@ -13,10 +13,10 @@
 // rows), so the sums stay exact and every operation after construction is
 // cheap: a split narrows two windows, a size estimate is a subtraction,
 // split_to_fit is a binary search over the sums, and retire is a
-// swap-erase. Chains, dollop nodes and their boundary lists live in a
-// MonotonicArena whose lifetime is the enclosing rewrite, and the
-// instruction->dollop index is a flat array of {chain, position} over row
-// ids rather than a hash map.
+// swap-erase. Chains, dollop nodes and their boundary lists live in the
+// manager's own MonotonicArena, so they die with the manager (one rewrite),
+// and the instruction->dollop index is a flat array of {chain, position}
+// over row ids rather than a hash map.
 #pragma once
 
 #include <algorithm>
@@ -69,11 +69,7 @@ struct DollopChain {
 
 class DollopManager {
  public:
-  /// `arena` outlives the manager and owns every chain and dollop node;
-  /// when null the manager falls back to a private arena (standalone/test
-  /// use).
-  explicit DollopManager(const irdb::Database& db, MonotonicArena* arena = nullptr)
-      : db_(db), arena_(arena != nullptr ? arena : &own_arena_) {
+  explicit DollopManager(const irdb::Database& db) : db_(db) {
     // Nearly every row passes through the index once; size it up front so
     // the construction walk never grows it (sled dispatch rows added later
     // extend it on demand, but they are few).
@@ -111,7 +107,7 @@ class DollopManager {
   /// Remove a dollop that has been fully emitted: every one of its rows
   /// must already be placed (its index entries stay, and lookups check
   /// placement first). O(1): swap-erase through the dollop's stored slot;
-  /// the node's arena bytes stay allocated until the arena resets.
+  /// the node's arena bytes stay allocated until the manager dies.
   /// Retiring a dollop the manager does not own -- including a double
   /// retire -- is an internal error and leaves the manager untouched.
   Status retire(Dollop* d);
@@ -151,8 +147,8 @@ class DollopManager {
   template <typename IsPlacedFn>
   Dollop* construct(irdb::InsnId start, IsPlacedFn&& is_placed) {
     const auto chain_id = static_cast<std::uint32_t>(chains_.size() + 1);
-    ArenaVector<irdb::InsnId> rows(arena_);
-    ArenaVector<std::uint64_t> prefix(arena_);
+    ArenaVector<irdb::InsnId> rows(&arena_);
+    ArenaVector<std::uint64_t> prefix(&arena_);
     prefix.push_back(0);
     irdb::InsnId cur = start;
     irdb::InsnId continuation = irdb::kNullInsn;
@@ -167,13 +163,13 @@ class DollopManager {
       prefix.push_back(prefix.back() + estimated_size(row));
       cur = row.fallthrough;
     }
-    DollopChain* chain = arena_->create<DollopChain>();
+    DollopChain* chain = arena_.create<DollopChain>();
     chain->rows = rows.begin();
     chain->prefix = prefix.begin();
-    chain->parts = ArenaVector<Dollop*>(arena_);
+    chain->parts = ArenaVector<Dollop*>(&arena_);
     chains_.push_back(chain);
 
-    Dollop* d = arena_->create<Dollop>();
+    Dollop* d = arena_.create<Dollop>();
     d->insns = {rows.begin(), rows.size()};
     d->chain = chain;
     d->continuation = continuation;
@@ -195,8 +191,7 @@ class DollopManager {
   void recompute(Dollop* d);
 
   const irdb::Database& db_;
-  MonotonicArena own_arena_;  ///< fallback when no shared arena is supplied
-  MonotonicArena* arena_;
+  MonotonicArena arena_;  ///< owns every chain and dollop node
   std::vector<Dollop*> dollops_;      ///< live (unplaced) dollops; arena-owned
   std::vector<DollopChain*> chains_;  ///< every chain, by id-1; arena-owned
   std::vector<Location> where_;       ///< row id-1 -> owning chain + position

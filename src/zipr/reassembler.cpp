@@ -5,7 +5,6 @@
 #include <set>
 
 #include "support/log.h"
-#include "zipr/workspace.h"
 
 namespace zipr::rewriter {
 
@@ -30,16 +29,6 @@ bool rel8_reaches(std::uint64_t site, std::uint64_t target) {
   return disp >= isa::kRel8Min && disp <= isa::kRel8Max;
 }
 
-// The calling thread's workspace arena, rewound (chunks retained) for this
-// rewrite. Two live Reassemblers on one thread would clobber each other's
-// allocations; the pipeline constructs exactly one per rewrite and a
-// thread runs its rewrites sequentially.
-MonotonicArena* rewound_workspace_arena() {
-  MonotonicArena& arena = this_thread_workspace().arena();
-  arena.reset();
-  return &arena;
-}
-
 }  // namespace
 
 Reassembler::Reassembler(analysis::IrProgram& prog, const ReassemblyOptions& opts)
@@ -47,18 +36,15 @@ Reassembler::Reassembler(analysis::IrProgram& prog, const ReassemblyOptions& opt
       opts_(opts),
       space_(Interval{prog.original.text().vaddr,
                       prog.original.text().vaddr + prog.original.text().bytes.size()}),
-      arena_(rewound_workspace_arena()),
-      dollops_(prog.db, arena_) {
+      dollops_(prog.db),
+      // The map M sized for every current row (sled dispatch rows added
+      // later grow it on demand, but they are few).
+      placed_(prog.db.insn_count(), kUnplaced) {
   std::set<std::uint64_t> pinned_pages;
   for (const auto& [addr, id] : prog_.db.pins())
     pinned_pages.insert(addr & ~(zelf::layout::kPageSize - 1));
   strategy_ = make_placement(opts.placement, opts.seed, std::move(pinned_pages));
   main_buf_.assign(space_.main_span().size(), kFillByte);
-  // The map M sized for every current row (sled dispatch rows added later
-  // grow it on demand, but they are few).
-  placed_cap_ = std::max<std::size_t>(prog_.db.insn_count(), 64);
-  placed_ = arena_->alloc_array<std::uint64_t>(placed_cap_);
-  std::fill_n(placed_, placed_cap_, kUnplaced);
 }
 
 std::optional<std::uint64_t> Reassembler::placed_at(InsnId id) const {
@@ -67,15 +53,8 @@ std::optional<std::uint64_t> Reassembler::placed_at(InsnId id) const {
 }
 
 void Reassembler::mark_placed(InsnId id, std::uint64_t addr) {
-  if (id > placed_cap_) {
-    std::size_t cap = std::max<std::size_t>(
-        {static_cast<std::size_t>(id), prog_.db.insn_count(), placed_cap_ * 2});
-    std::uint64_t* fresh = arena_->alloc_array<std::uint64_t>(cap);
-    std::copy_n(placed_, placed_cap_, fresh);
-    std::fill(fresh + placed_cap_, fresh + cap, kUnplaced);
-    placed_ = fresh;
-    placed_cap_ = cap;
-  }
+  if (id > placed_.size())
+    placed_.resize(std::max<std::size_t>(id, prog_.db.insn_count()), kUnplaced);
   placed_[id - 1] = addr;
 }
 

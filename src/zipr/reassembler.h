@@ -28,7 +28,6 @@
 #include <vector>
 
 #include "analysis/ir_builder.h"
-#include "support/arena.h"
 #include "zipr/dollop.h"
 #include "zipr/memory_space.h"
 #include "zipr/placement.h"
@@ -140,7 +139,7 @@ class Reassembler {
 
   // -- placement map M, flattened --
   bool is_placed(irdb::InsnId id) const {
-    return id != irdb::kNullInsn && id <= placed_cap_ && placed_[id - 1] != kUnplaced;
+    return id != irdb::kNullInsn && id <= placed_.size() && placed_[id - 1] != kUnplaced;
   }
   /// Precondition: is_placed(id).
   std::uint64_t placed_addr(irdb::InsnId id) const { return placed_[id - 1]; }
@@ -174,17 +173,15 @@ class Reassembler {
   ReassemblyOptions opts_;
   MemorySpace space_;
   std::unique_ptr<PlacementStrategy> strategy_;
-  MonotonicArena* arena_;  ///< the thread workspace's; owns dollops and M
   DollopManager dollops_;
 
   Bytes main_buf_;      ///< [main.begin, main.end)
   Bytes overflow_buf_;  ///< [main.end, ...)
 
   /// The map M as a dense array: output address per row id (id-1 indexed),
-  /// kUnplaced sentinel. Arena-backed; grows when sled dispatch rows extend
-  /// the id space mid-rewrite.
-  std::uint64_t* placed_ = nullptr;
-  std::size_t placed_cap_ = 0;
+  /// kUnplaced sentinel; grows when sled dispatch rows extend the id space
+  /// mid-rewrite.
+  std::vector<std::uint64_t> placed_;
 
   std::vector<PendingRef> pending_;  ///< the list uDR
   std::vector<PinSite> pin_sites_;

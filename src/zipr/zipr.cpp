@@ -4,7 +4,6 @@
 
 #include "support/rng.h"
 #include "transform/api.h"
-#include "zipr/workspace.h"
 
 namespace zipr {
 
@@ -40,10 +39,10 @@ Result<transform::InstrumentationStats> apply_transforms(analysis::IrProgram& pr
 }
 
 // rewrite() is REENTRANT: every piece of pipeline state (IR program,
-// transform contexts, reassembler, placement strategy, RNGs) lives in this
-// call frame or in the calling thread's workspace. The only process-global
-// state it touches is the transform registry (mutex-guarded, and mutated
-// only by register_transform) and the logger (thread-safe sink).
+// transform contexts, reassembler and its memory, placement strategy, RNGs)
+// lives in this call frame. The only process-global state it touches is
+// the transform registry (mutex-guarded, and mutated only by
+// register_transform) and the logger (thread-safe sink).
 // Concurrent calls on distinct inputs -- or even the same input -- are
 // safe; the batch engine (src/batch) relies on this.
 Result<RewriteResult> rewrite(const zelf::Image& input, const RewriteOptions& options) {
@@ -80,9 +79,6 @@ Result<RewriteResult> rewrite(const zelf::Image& input, const RewriteOptions& op
   result.reassembly = reassembler.stats();
   result.instrumentation = instrumentation;
   result.timing = timing;
-  // Let the workspace see this cycle's arena demand (and trim if an earlier
-  // oversized request left it holding far more than recent traffic needs).
-  this_thread_workspace().finish_cycle();
   return result;
 }
 

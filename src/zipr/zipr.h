@@ -81,17 +81,13 @@ Result<transform::InstrumentationStats> apply_transforms(analysis::IrProgram& pr
                                                          const RewriteOptions& options);
 
 /// Rewrite `input`, applying the configured transforms. The whole pipeline
-/// runs on the calling thread.
+/// runs on the calling thread, and nothing is kept between calls: output
+/// bytes depend only on `input` and `options`.
 ///
-/// The reassembly arena is the calling thread's RewriteWorkspace (see
-/// workspace.h), so successive rewrites on one thread recycle its chunks.
-/// The arena is rewound per rewrite: output bytes depend only on `input`
-/// and `options`, never on what the thread rewrote before.
-///
-/// REENTRANT: all pipeline state is per-call or per-thread; concurrent
-/// rewrites from multiple threads are safe (see the batch engine,
-/// src/batch). The only shared state touched is the mutex-guarded
-/// transform registry and the thread-safe logger.
+/// REENTRANT: all pipeline state is per-call; concurrent rewrites from
+/// multiple threads are safe (see the batch engine, src/batch). The only
+/// shared state touched is the mutex-guarded transform registry and the
+/// thread-safe logger.
 Result<RewriteResult> rewrite(const zelf::Image& input, const RewriteOptions& options = {});
 
 }  // namespace zipr

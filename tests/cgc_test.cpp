@@ -121,9 +121,8 @@ INSTANTIATE_TEST_SUITE_P(Slices, CorpusFunctionalTest, ::testing::Range(0, 8));
 // output of every corpus CB plus the x1 synthetic large CB, under each
 // placement strategy. Any change to output bytes moves it, so a change
 // that means to keep the bytes must keep the constant. Each rewrite runs
-// twice -- cold, on a fresh thread with an empty workspace, and warm, on
-// one thread whose workspace is recycled across the whole loop -- and both
-// must produce the same digest.
+// twice -- cold, each on a fresh thread, and warm, all on one thread in
+// one loop -- and both must produce the same digest.
 constexpr std::uint64_t kFnvOffset = 0xcbf29ce484222325ULL;
 constexpr std::uint64_t kGoldenCorpusDigest = 0x603b78566753593dULL;
 

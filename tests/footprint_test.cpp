@@ -4,9 +4,11 @@
 // on any host. This binary replaces the global operator new and delete to
 // count, which is why it is an executable of its own.
 //
-// Each measurement runs on a fresh thread, so the thread's RewriteWorkspace
-// starts empty: one uncounted rewrite fills its reassembly arena, then one
-// counted rewrite measures what a serve or batch worker pays per request.
+// Each measurement runs on a fresh thread: one uncounted rewrite settles
+// one-time state such as the transform registry, then one counted rewrite
+// measures what a serve or batch worker pays per request. A rewrite keeps
+// nothing between calls, so the counted one allocates all of its own
+// reassembly memory.
 #include <gtest/gtest.h>
 
 #include <malloc.h>
@@ -62,7 +64,7 @@ using ::zipr::testing::on_fresh_thread;
 
 // Ceilings on the warm x1 rewrite: about 710 allocations and 3.2 MB peak
 // when they were set, so a per-row or per-instruction allocation (x1 lifts
-// about 20k rows) or a table that stops being recycled fails them.
+// about 20k rows) fails them.
 constexpr std::uint64_t kMaxAllocsX1 = 2'000;
 constexpr std::uint64_t kMaxPeakHeapX1 = 6 * 1024 * 1024;
 // x50's peak heap may be at most this factor of the linear extrapolation

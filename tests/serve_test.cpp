@@ -682,7 +682,7 @@ TEST(ArtifactCache, RestartKeepsOnlyTheRecordsTheBudgetHolds) {
   std::remove(survivors_path.c_str());
 }
 
-// ---- serve engine: recycled workspaces ----
+// ---- serve engine: repeated cold rewrites on the serving threads ----
 
 // Input variants that differ only in extra .data payload: each is its own
 // cache key but all drive the same-shaped cold pipeline.
@@ -693,11 +693,10 @@ Bytes variant_input(int i) {
 }
 
 TEST(ServeEngine, ColdThroughRecycledWorkspaceIsByteIdentical) {
-  // handle() rewrites on the calling thread, here a fresh one, so the
-  // first pass starts from an empty workspace. clear_cache() drops
-  // artifacts but leaves the thread's workspace warm, so the second pass
-  // runs the FULL cold pipeline through recycled buffers; its bytes must
-  // match the first pass exactly.
+  // handle() rewrites on the calling thread, here a fresh one.
+  // clear_cache() drops every artifact, so the second pass runs the FULL
+  // cold pipeline again on the same thread; its bytes must match the first
+  // pass exactly.
   RewriteOptions opts;
   opts.transforms = {"cfi"};
   ServeOptions sopts;
@@ -719,18 +718,17 @@ TEST(ServeEngine, ColdThroughRecycledWorkspaceIsByteIdentical) {
       ASSERT_TRUE(r.ok()) << r.error().message;
       EXPECT_EQ(r->source, Source::kCold) << "clear_cache() left an artifact behind";
       EXPECT_EQ(r->output, first_pass[i])
-          << "recycled workspace drifted on variant " << i;
+          << "repeated cold rewrite drifted on variant " << i;
     }
   });
 }
 
 TEST(ServeEngine, ConcurrentHandleStormOverRecycledWorkspacesMatchesSyncHandle) {
-  // Digest differential, fresh vs recycled, under concurrency: references
-  // come from a single-threaded engine; the storm engine then serves the
-  // same corpus repeatedly from 4 threads calling handle() at once, with
-  // clear_cache() between rounds so every round runs cold through the
-  // threads' RECYCLED per-thread workspaces. Part of the TSan workload
-  // (tsan_smoke).
+  // Digest differential, first vs repeated cold rewrites, under
+  // concurrency: references come from a single-threaded engine; the storm
+  // engine then serves the same corpus repeatedly from 4 threads calling
+  // handle() at once, with clear_cache() between rounds so every round runs
+  // cold again on the same threads. Part of the TSan workload (tsan_smoke).
   constexpr int kVariants = 8;
   constexpr int kRounds = 3;
   constexpr std::size_t kPerRound = 2 * kVariants;
@@ -765,7 +763,7 @@ TEST(ServeEngine, ConcurrentHandleStormOverRecycledWorkspacesMatchesSyncHandle) 
           << "round " << round << " request " << k << " diverged from sync handle()";
       ++total;
     }
-    engine.clear_cache();  // next round runs cold again on warm workspaces
+    engine.clear_cache();  // next round runs cold again on the same threads
   }
   auto stats = engine.stats();
   EXPECT_EQ(stats.requests, total);
@@ -863,7 +861,7 @@ TEST(ServeCorpus, ColdStartMatchesRecycledWorkspacesAndAFreshThread) {
     auto r = engine.handle(input, opts);
     ASSERT_TRUE(r.ok()) << r.error().message;
     EXPECT_EQ(r->source, Source::kCold);
-    EXPECT_EQ(r->output, first->output) << "recycled workspace drifted on request " << rep;
+    EXPECT_EQ(r->output, first->output) << "repeated cold rewrite drifted on request " << rep;
   }
   EXPECT_EQ(cold_reference(input, opts), first->output);
 }

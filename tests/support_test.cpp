@@ -1,10 +1,9 @@
 // Unit tests for the support module: Result/Status, byte codecs,
-// IntervalSet, the monotonic arena, and the deterministic RNG.
+// IntervalSet, and the deterministic RNG.
 #include <gtest/gtest.h>
 
 #include <set>
 
-#include "support/arena.h"
 #include "support/bytes.h"
 #include "support/interval.h"
 #include "support/rng.h"
@@ -369,58 +368,6 @@ TEST(Rng, DeriveSeedDistinctAcrossStreams) {
     for (std::uint64_t stream = 1; stream < 8; ++stream)
       EXPECT_NE(derive_seed(base, stream), derive_seed(base + 1, stream - 1))
           << "base " << base << " stream " << stream;
-}
-
-// ---- monotonic arena ----
-
-TEST(Arena, ResetRewindsButRetainsCapacity) {
-  MonotonicArena arena(1024);
-  EXPECT_EQ(arena.retained_bytes(), 0u);
-  EXPECT_EQ(arena.used_bytes(), 0u);
-
-  arena.alloc_array<std::uint8_t>(100);
-  EXPECT_GE(arena.used_bytes(), 100u);
-  std::size_t cap = arena.retained_bytes();
-  ASSERT_GE(cap, 1024u);
-
-  arena.reset();
-  EXPECT_EQ(arena.used_bytes(), 0u);
-  EXPECT_EQ(arena.retained_bytes(), cap) << "reset() must keep the chunks";
-}
-
-TEST(Arena, TrimReleasesDownToBudgetAndStaysUsable) {
-  MonotonicArena arena(4 * 1024);
-  // Force a chain of geometrically-growing chunks (a few MB total).
-  for (int i = 0; i < 64; ++i) arena.alloc_array<std::uint64_t>(4096);
-  std::size_t grown = arena.retained_bytes();
-  ASSERT_GT(grown, std::size_t{1} << 20);
-
-  arena.trim(64 * 1024);
-  EXPECT_LE(arena.retained_bytes(), 64u * 1024);
-  EXPECT_EQ(arena.used_bytes(), 0u) << "trim() must also rewind";
-
-  // Still fully functional: allocation regrows capacity on demand, and the
-  // regrown memory is writable end to end.
-  std::uint64_t* p = arena.alloc_array<std::uint64_t>(32 * 1024);
-  p[0] = 1;
-  p[32 * 1024 - 1] = 2;
-  EXPECT_EQ(p[0] + p[32 * 1024 - 1], 3u);
-  EXPECT_GE(arena.retained_bytes(), 32u * 1024 * sizeof(std::uint64_t));
-}
-
-TEST(Arena, TrimZeroReleasesEverything) {
-  MonotonicArena arena;
-  arena.alloc_array<std::uint8_t>(std::size_t{1} << 20);
-  ASSERT_GT(arena.retained_bytes(), 0u);
-
-  arena.trim(0);
-  EXPECT_EQ(arena.retained_bytes(), 0u);
-
-  // The growth schedule restarts from the default chunk, not the old
-  // doubled high-water size.
-  int* v = arena.create<int>(7);
-  EXPECT_EQ(*v, 7);
-  EXPECT_LE(arena.retained_bytes(), 64u * 1024);
 }
 
 TEST(Rng, DeriveSeedDeterministic) {

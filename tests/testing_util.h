@@ -29,17 +29,16 @@ inline RewriteResult must_rewrite(const zelf::Image& input, RewriteOptions opts 
   return std::move(r).value();
 }
 
-/// Run `fn` on a new thread and wait for it. rewrite() reassembles in the
-/// calling thread's workspace arena, so the first rewrite on a new thread
-/// starts cold, from an empty arena that the thread frees on exit.
+/// Run `fn` on a new thread and wait for it: a rewrite there shares no
+/// thread with any earlier one.
 template <typename Fn>
 void on_fresh_thread(Fn&& fn) {
   std::thread t(std::forward<Fn>(fn));
   t.join();
 }
 
-/// Serialized output of a rewrite on a fresh thread: the cold reference
-/// any warm (recycled-arena) rewrite must match.
+/// Serialized output of a rewrite on a fresh thread: the reference that
+/// repeated rewrites on one thread must match.
 inline Bytes cold_rewrite_bytes(const zelf::Image& input, const RewriteOptions& opts = {}) {
   Bytes out;
   on_fresh_thread([&] { out = zelf::write_image(must_rewrite(input, opts).image); });

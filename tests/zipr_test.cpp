@@ -17,7 +17,6 @@
 #include "zipr/memory_space.h"
 #include "zipr/placement.h"
 #include "zipr/reassembler.h"
-#include "zipr/workspace.h"
 #include "zipr/zipr.h"
 
 namespace zipr {
@@ -1142,10 +1141,10 @@ TEST(Sled, ThreeAdjacentPins) {
   }
 }
 
-// ---- recycled workspaces (one arena per thread, borrowed by rewrite()) ----
+// ---- repeated rewrites on one thread (nothing is kept between calls) ----
 
 // A straight-line program whose size scales linearly with `n`, for driving
-// the workspace arena's dollops and placement map to chosen demands.
+// the reassembler's dollops and placement map to chosen demands.
 std::string straightline_program(int n) {
   std::string src = ".entry main\n.text\nmain:\n";
   for (int i = 0; i < n; ++i) src += "  addi r2, " + std::to_string(i % 7) + "\n";
@@ -1153,7 +1152,7 @@ std::string straightline_program(int n) {
   return src;
 }
 
-TEST(Workspace, RecyclingNeverChangesOutputBytes) {
+TEST(RepeatedRewrite, SameInputOnOneThreadKeepsItsBytes) {
   zelf::Image img = must_assemble(straightline_program(400));
   RewriteOptions opts;
   opts.transforms = {"cfi"};
@@ -1164,21 +1163,19 @@ TEST(Workspace, RecyclingNeverChangesOutputBytes) {
       auto r = rewrite(img, opts);
       ASSERT_TRUE(r.ok()) << r.error().message;
       EXPECT_EQ(zelf::write_image(r->image), reference)
-          << "recycled workspace drifted on pass " << pass;
+          << "repeated rewrite drifted on pass " << pass;
     }
-    EXPECT_EQ(this_thread_workspace().cycles(), 3u);
-    EXPECT_GT(this_thread_workspace().retained_bytes(), 0u) << "nothing was actually recycled";
   });
 }
 
-TEST(Workspace, ReuseAcrossDifferentImagesMatchesFreshRewrites) {
+TEST(RepeatedRewrite, DifferentImagesOnOneThreadMatchFreshRewrites) {
   zelf::Image a = must_assemble(straightline_program(300));
   zelf::Image b = must_assemble(straightline_program(37));
   Bytes ref_a = cold_rewrite_bytes(a);
   Bytes ref_b = cold_rewrite_bytes(b);
 
-  // Big then small then big again through ONE workspace: stale capacity
-  // from a previous (differently-sized) input must never leak into bytes.
+  // Big then small then big again on ONE thread: an earlier rewrite of a
+  // differently-sized input must never leak into bytes.
   on_fresh_thread([&] {
     for (const auto* want : {&ref_a, &ref_b, &ref_a}) {
       const zelf::Image& img = (want == &ref_a) ? a : b;
@@ -1189,41 +1186,42 @@ TEST(Workspace, ReuseAcrossDifferentImagesMatchesFreshRewrites) {
   });
 }
 
-TEST(Workspace, OversizedCycleAgesOutOfTheRetentionWindow) {
-  // Regression for unbounded retention: one x50-scale request must not pin
-  // its high-water mark once the trim window fills with x1 traffic.
-  zelf::Image big = must_assemble(straightline_program(20000));
-  zelf::Image small = must_assemble(straightline_program(50));
-  Bytes small_ref = cold_rewrite_bytes(small);
+TEST(RepeatedRewrite, TwoLiveReassemblersOnOneThreadMatchRewrite) {
+  // Each Reassembler owns its memory, so two may be live on one thread at
+  // once. Both are built before either runs, and they run in reverse order
+  // of construction; each must still produce rewrite()'s bytes.
+  auto corpus = cgc::cfe_corpus();
+  std::vector<zelf::Image> images;
+  for (std::size_t i : {0u, 1u}) {
+    auto cb = cgc::generate_cb(corpus[i]);
+    ASSERT_TRUE(cb.ok()) << corpus[i].name << ": " << cb.error().message;
+    images.push_back(std::move(cb->image));
+  }
+  RewriteOptions opts;
+  std::vector<analysis::IrProgram> progs;
+  for (const auto& image : images) {
+    auto prog = analysis::build_ir(image, opts.analysis);
+    ASSERT_TRUE(prog.ok()) << prog.error().message;
+    ASSERT_TRUE(apply_transforms(*prog, opts).ok());
+    progs.push_back(std::move(prog).value());
+  }
+  // The reassembly options rewrite() derives from default RewriteOptions.
+  rewriter::ReassemblyOptions ropts;
+  ropts.seed = derive_seed(opts.seed, 0);
+  rewriter::Reassembler first(progs[0], ropts);
+  rewriter::Reassembler second(progs[1], ropts);
 
-  on_fresh_thread([&] {
-    RewriteWorkspace& ws = this_thread_workspace();
-    ASSERT_TRUE(rewrite(big).ok());
-    std::size_t after_big = ws.retained_bytes();
-    ASSERT_GT(after_big, 0u);
-
-    // More small cycles than the trim window holds: the oversized demand
-    // ages out and finish_cycle() releases down to ~2x the small demand.
-    std::size_t settled = after_big;
-    for (int i = 0; i < 8; ++i) {
-      ASSERT_TRUE(rewrite(small).ok());
-      settled = std::min(settled, ws.retained_bytes());
-    }
-    EXPECT_LT(settled, after_big / 2)
-        << "workspace still pins the oversized high-water mark ("
-        << after_big << " -> " << settled << " bytes)";
-
-    // And the trimmed workspace still produces correct bytes.
-    auto r = rewrite(small);
-    ASSERT_TRUE(r.ok());
-    EXPECT_EQ(zelf::write_image(r->image), small_ref);
-  });
+  auto second_out = second.run();
+  ASSERT_TRUE(second_out.ok()) << second_out.error().message;
+  auto first_out = first.run();
+  ASSERT_TRUE(first_out.ok()) << first_out.error().message;
+  EXPECT_EQ(zelf::write_image(*first_out), zelf::write_image(must_rewrite(images[0]).image));
+  EXPECT_EQ(zelf::write_image(*second_out), zelf::write_image(must_rewrite(images[1]).image));
 }
 
-TEST(Workspace, FailedRewriteLeavesTheThreadWorkspaceUsable) {
-  // A failed rewrite leaves the arena as far as it got (or untouched, when
-  // it fails before reassembly); the next rewrite on the same thread must
-  // still start from a usable workspace.
+TEST(RepeatedRewrite, FailedRewriteLeavesTheThreadUsable) {
+  // A failed rewrite -- before or after IR construction -- must not affect
+  // the next rewrite on the same thread.
   zelf::Image good = must_assemble(straightline_program(300));
   zelf::Image invalid = good;
   invalid.entry = 0x10;  // outside every segment: fails validate()

@@ -8,8 +8,9 @@
 //            [--pin-call-returns] [--naive-pins]
 //            [--stats] [--dump-ir=<file>] [--list-transforms]
 //
-// Batch mode (2+ inputs): rewrite a corpus on --jobs threads; one failing
-// binary is reported and exits nonzero at the end but never stops the rest.
+// Batch mode (2+ inputs, or --out-dir): rewrite a corpus on --jobs threads;
+// one failing binary is reported and exits nonzero at the end but never
+// stops the rest.
 //   zipr-cli a.zelf b.zelf ... --out-dir=DIR [--jobs=N] [batch-safe flags]
 //
 // Fuzz mode: instrument with coverage (default --transform=cov) and run the
@@ -373,9 +374,11 @@ int main(int argc, char** argv) {
 
   RewriteOptions options = parse_rewrite_options(args);
 
-  // 2+ inputs (or an explicit --out-dir / --jobs): corpus batch mode.
-  if (args.positional().size() > 1 || args.has("out-dir") || args.has("jobs"))
-    return run_batch(args, options);
+  // --jobs sizes the batch pool; a single --out rewrite has none.
+  if (args.has("jobs") && !args.has("out-dir"))
+    cli::die("--jobs=N requires --out-dir=<dir> (batch mode)");
+  // 2+ inputs (or an explicit --out-dir): corpus batch mode.
+  if (args.positional().size() > 1 || args.has("out-dir")) return run_batch(args, options);
 
   auto out_path = args.value("out");
   if (!out_path) cli::die("--out=<path> is required");
