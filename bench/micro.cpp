@@ -432,7 +432,13 @@ int main(int argc, char** argv) {
   // rewrite pipeline, not the page allocator: a one-shot rewrite pays the
   // fault cost once and linearly, and the serve layer's long-lived
   // workers recycle their heap across requests exactly like this loop.
+  // Setting any threshold by hand also stops glibc from raising the trim
+  // threshold as it raises the mmap threshold, which would leave it at
+  // 128 KB: every iteration would then trim the heap top it freed back to
+  // the OS and fault it in again on the next. Pin the trim threshold above
+  // the largest sweep table too.
   mallopt(M_MMAP_THRESHOLD, 256 << 20);
+  mallopt(M_TRIM_THRESHOLD, 256 << 20);
 
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;

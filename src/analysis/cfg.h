@@ -73,10 +73,8 @@ class Cfg {
   /// rows never claimed by a leader chain, verbatim-only rows).
   BlockId block_of(irdb::InsnId id) const;
 
-  /// Immediate (post)dominators; kNoBlock when unreachable from
-  /// ENTRY (resp. when EXIT is unreachable from the block).
+  /// Immediate dominators; kNoBlock when unreachable from ENTRY.
   const std::vector<BlockId>& idom() const { return idom_; }
-  const std::vector<BlockId>& ipdom() const { return ipdom_; }
 
   /// Reflexive dominance queries; false when either side is
   /// unreachable (clients must stay conservative there).

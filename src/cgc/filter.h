@@ -23,7 +23,6 @@ struct FilterRule {
 class NetworkFilter {
  public:
   void add_rule(FilterRule rule) { rules_.push_back(std::move(rule)); }
-  std::size_t rule_count() const { return rules_.size(); }
 
   /// Name of the first rule matching anywhere in `input`, or nullptr.
   const FilterRule* match(ByteView input) const;

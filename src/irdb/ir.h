@@ -235,11 +235,6 @@ class Database {
   bool has_insn(InsnId id) const { return id > 0 && id <= decoded_.size(); }
   std::size_t insn_count() const { return decoded_.size(); }
 
-  // Hot single-column accessors for inner loops (skip proxy construction).
-  InsnId fallthrough_of(InsnId id) const { return fallthrough_[id - 1]; }
-  InsnId target_of(InsnId id) const { return target_[id - 1]; }
-  const isa::Insn& decoded_of(InsnId id) const { return decoded_[id - 1]; }
-  bool is_verbatim(InsnId id) const { return verbatim_[id - 1] != 0; }
   ByteView orig_bytes_of(InsnId id) const {
     const OrigView& v = orig_[id - 1];
     return ByteView(blob_).subspan(v.off, v.len);

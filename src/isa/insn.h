@@ -43,8 +43,6 @@ struct Insn {
   }
 
   bool is_call() const { return op == Op::kCall || op == Op::kCallR; }
-  bool is_ret() const { return op == Op::kRet; }
-  bool is_conditional() const { return op == Op::kJcc; }
 
   /// True if the instruction has a statically-known control-flow target.
   bool has_static_target() const {

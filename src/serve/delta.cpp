@@ -41,17 +41,6 @@ bool same_segment_shape(const zelf::Segment& a, const zelf::Segment& b) {
 }  // namespace
 
 std::optional<DeltaResult> try_delta(ByteView ancestor_input, ByteView ancestor_output,
-                                     ByteView new_input, const DeltaOptions& options,
-                                     std::string* reason) {
-  auto parsed = zelf::read_image(new_input);
-  if (!parsed.ok()) {
-    if (reason) *reason = "input does not parse";
-    return std::nullopt;
-  }
-  return try_delta(ancestor_input, ancestor_output, *parsed, new_input, options, reason);
-}
-
-std::optional<DeltaResult> try_delta(ByteView ancestor_input, ByteView ancestor_output,
                                      const zelf::Image& new_image, ByteView new_input,
                                      const DeltaOptions& options, std::string* reason) {
   auto refuse = [&](std::string why) -> std::optional<DeltaResult> {

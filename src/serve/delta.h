@@ -48,21 +48,18 @@ struct DeltaResult {
   std::size_t changed_pages = 0;  ///< distinct pages the diff touched
 };
 
-/// Try to derive the rewrite of `new_input` from a cached ancestor
-/// (`ancestor_input` -> `ancestor_output`, produced under the SAME
-/// canonical options). Returns nullopt -- with a human-readable refusal in
-/// `*reason` -- whenever the validator cannot prove equivalence.
-std::optional<DeltaResult> try_delta(ByteView ancestor_input, ByteView ancestor_output,
-                                     ByteView new_input, const DeltaOptions& options,
-                                     std::string* reason);
-
-/// Same validator, but with the resubmission already parsed (the serve
-/// engine parses each miss exactly once and probes several ancestors, so
-/// re-parsing `new_input` per probe would make delta probing cost more
-/// than the cold rewrite it is meant to avoid). Also short-circuits on a
-/// serialized-length mismatch BEFORE parsing the ancestor: structurally
-/// identical inputs serialize to identical lengths, so a length delta can
-/// never validate and refusing it costs two size() reads.
+/// Try to derive the rewrite of `new_input` (already parsed as `new_img`)
+/// from a cached ancestor (`ancestor_input` -> `ancestor_output`, produced
+/// under the SAME canonical options). Returns nullopt -- with a
+/// human-readable refusal in `*reason` -- whenever the validator cannot
+/// prove equivalence.
+///
+/// The caller parses: the serve engine parses each miss exactly once and
+/// probes several ancestors, so re-parsing `new_input` per probe would make
+/// delta probing cost more than the cold rewrite it is meant to avoid. A
+/// serialized-length mismatch is refused BEFORE parsing the ancestor:
+/// structurally identical inputs serialize to identical lengths, so a
+/// length delta can never validate and refusing it costs two size() reads.
 std::optional<DeltaResult> try_delta(ByteView ancestor_input, ByteView ancestor_output,
                                      const zelf::Image& new_img, ByteView new_input,
                                      const DeltaOptions& options, std::string* reason);

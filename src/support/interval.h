@@ -120,13 +120,6 @@ class IntervalSet {
       if (!visit(fn, Interval{it->first, it->second})) return;
   }
 
-  /// Visit every interval in address order without copying.
-  template <typename Fn>
-  void for_each(Fn&& fn) const {
-    for (const auto& [b, e] : ivs_)
-      if (!visit(fn, Interval{b, e})) return;
-  }
-
   /// Visit every interval with size() >= min_size, smallest first (ties by
   /// begin). O(log n + k) for k fitting intervals -- intervals too small to
   /// fit are never touched. Early-exit as in for_each_in.

@@ -100,7 +100,6 @@ class Machine {
   /// uncached interpreters are observably identical -- RunResult, faults,
   /// stats, output -- which the differential tests assert corpus-wide.
   void set_decode_cache(bool on) { decode_cache_on_ = on; }
-  bool decode_cache() const { return decode_cache_on_; }
 
   /// Run until terminate, fault, or gas exhaustion.
   RunResult run();
@@ -129,7 +128,6 @@ class Machine {
 
   // ---- state access for white-box tests ----
   std::uint64_t reg(int i) const { return regs_[i]; }
-  void set_reg(int i, std::uint64_t v) { regs_[i] = v; }
   std::uint64_t pc() const { return pc_; }
   Memory& memory() { return mem_; }
   std::uint64_t heap_next() const { return heap_next_; }

@@ -9,12 +9,6 @@ namespace zipr::rewriter {
 
 namespace {
 constexpr std::uint64_t kJumpSize = isa::kJmp32Len;
-
-/// The chain's prefix sums from `d`'s first row on: d's rows [0, i) hold
-/// sums[i] - sums[0] estimated bytes.
-const std::uint64_t* sums_from(const Dollop* d) {
-  return d->chain->prefix + (d->insns.data() - d->chain->rows);
-}
 }  // namespace
 
 std::uint64_t estimated_size(irdb::ConstRowRef row) {
@@ -27,41 +21,36 @@ std::uint64_t estimated_size(irdb::ConstRowRef row) {
   return static_cast<std::uint64_t>(isa::encoded_length(wide));
 }
 
-Dollop* DollopManager::split(Dollop* d, std::size_t pos) {
-  assert(pos > 0 && pos < d->insns.size());
-  Dollop* tail = arena_.create<Dollop>();
-  tail->insns = d->insns.subspan(pos);
-  tail->chain = d->chain;
-  tail->continuation = d->continuation;
-  d->insns = d->insns.first(pos);
-  d->continuation = tail->insns.front();
+Dollop* DollopManager::split(Dollop* d, std::uint32_t at) {
+  assert(d->first < at && at < d->last);
+  Dollop& tail = nodes_.emplace_back();
+  tail.first = at;
+  tail.last = d->last;
+  tail.continuation = d->continuation;
+  d->last = at;
+  d->continuation = rows_[at];
   ++splits_;
 
-  // The tail's rows keep their {chain, position} index entries; only the
-  // chain's boundary list learns the new window.
-  ArenaVector<Dollop*>& parts = d->chain->parts;
-  auto it = std::lower_bound(parts.begin(), parts.end(), d,
-                             [](const Dollop* a, const Dollop* b) {
-                               return a->insns.data() < b->insns.data();
-                             });
-  parts.insert(static_cast<std::size_t>(it - parts.begin()) + 1, tail);
-  recompute(d);
+  // The tail's rows keep their index entries; only the window list learns
+  // the new window, right after its head.
+  parts_.insert(after(at), &tail);
+  recompute(*d);
   recompute(tail);
-  adopt(tail);
-  return tail;
+  adopt(&tail);
+  return &tail;
 }
 
 Dollop* DollopManager::split_to_fit(Dollop* d, std::uint64_t max_bytes) {
-  if (d->insns.size() < 2 || max_bytes < kJumpSize) return nullptr;
-  // The head keeps rows [0, pos): the longest prefix whose bytes plus the
-  // split's jump fit. Sizes are non-negative, so the sums are sorted.
-  const std::uint64_t* sums = sums_from(d);
-  const std::uint64_t* first = sums + 1;
-  const std::uint64_t* last = first + d->insns.size();
-  auto pos = static_cast<std::size_t>(
-      std::upper_bound(first, last, sums[0] + max_bytes - kJumpSize) - first);
-  if (pos == 0 || pos >= d->insns.size()) return nullptr;
-  return split(d, pos);
+  const std::uint32_t rows = d->last - d->first;
+  if (rows < 2 || max_bytes < kJumpSize) return nullptr;
+  // The head keeps the longest run of rows whose bytes plus the split's
+  // jump fit. Sizes are non-negative, so the sums are sorted.
+  auto first = prefix_.begin() + d->first + 1;
+  auto last = prefix_.begin() + d->last + 1;
+  auto n = static_cast<std::uint32_t>(
+      std::upper_bound(first, last, prefix_[d->first] + max_bytes - kJumpSize) - first);
+  if (n == 0 || n >= rows) return nullptr;
+  return split(d, d->first + n);
 }
 
 Status DollopManager::retire(Dollop* d) {
@@ -77,10 +66,9 @@ Status DollopManager::retire(Dollop* d) {
   return Status::success();
 }
 
-void DollopManager::recompute(Dollop* d) {
-  const std::uint64_t* sums = sums_from(d);
-  d->size_estimate = sums[d->insns.size()] - sums[0] +
-                     (d->continuation != irdb::kNullInsn ? kJumpSize : 0);
+void DollopManager::recompute(Dollop& d) {
+  d.size_estimate = prefix_[d.last] - prefix_[d.first] +
+                    (d.continuation != irdb::kNullInsn ? kJumpSize : 0);
 }
 
 }  // namespace zipr::rewriter

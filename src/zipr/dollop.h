@@ -7,40 +7,35 @@
 // supports size-driven splitting so large dollops can fill small free
 // blocks (Sec. II-C4).
 //
-// Each construction walk gathers its rows into one chain buffer with a
-// prefix sum of their estimated sizes; a dollop is a [first, end) window
-// onto its chain. Rows are not edited during reassembly (sled rows are new
-// rows), so the sums stay exact and every operation after construction is
-// cheap: a split narrows two windows, a size estimate is a subtraction,
-// split_to_fit is a binary search over the sums, and retire is a
-// swap-erase. Chains, dollop nodes and their boundary lists live in the
-// manager's own MonotonicArena, so they die with the manager (one rewrite),
-// and the instruction->dollop index is a flat array of {chain, position}
-// over row ids rather than a hash map.
+// Storage is flat. Every construction walk appends its rows to one row
+// vector with a running sum of their estimated sizes, and a dollop is a
+// [first, last) window of positions in it. Rows are not edited during
+// reassembly (sled rows are new rows), so the sums stay exact and every
+// operation after construction is cheap: a split narrows one window and
+// inserts another, a size estimate is a subtraction, split_to_fit is a
+// binary search over the sums, and retire is a swap-erase. The windows of
+// all dollops, retired ones included, partition the row vector, so a row's
+// owner is a binary search over the windows ordered by start.
 #pragma once
 
 #include <algorithm>
 #include <cstdint>
+#include <deque>
 #include <span>
 #include <vector>
 
 #include "irdb/ir.h"
-#include "support/arena.h"
 
 namespace zipr::rewriter {
 
 /// Conservative (rel32-width) encoded size of one row when relocated.
 std::uint64_t estimated_size(irdb::ConstRowRef row);
 
-struct DollopChain;
-
 struct Dollop {
-  /// The rows in fallthrough order: a window onto the construction chain's
-  /// row buffer (splits narrow windows, they never copy rows).
-  std::span<const irdb::InsnId> insns;
-
-  /// The chain `insns` views (null = unmanaged).
-  DollopChain* chain = nullptr;
+  /// The rows in fallthrough order: positions [first, last) of the
+  /// manager's row vector (DollopManager::insns reads them).
+  std::uint32_t first = 0;
+  std::uint32_t last = 0;
 
   /// If set, execution continues at this instruction after the last row:
   /// the dollop was truncated (by a split or by flowing into code that is
@@ -54,17 +49,6 @@ struct Dollop {
   /// Position in the owning DollopManager's list (maintained by the
   /// manager; lets retire() swap-erase in O(1)).
   std::size_t slot = 0;
-};
-
-/// The rows one construction walk gathered, in fallthrough order.
-struct DollopChain {
-  const irdb::InsnId* rows = nullptr;
-  /// prefix[i] = summed estimated_size of rows [0, i); one entry per row
-  /// plus one.
-  const std::uint64_t* prefix = nullptr;
-  /// The chain's dollops in row order, retired ones included: their
-  /// windows partition the chain.
-  ArenaVector<Dollop*> parts;
 };
 
 class DollopManager {
@@ -88,14 +72,18 @@ class DollopManager {
     // is_placed comes first: rows of retired dollops keep their index
     // entries, and every one of them is placed.
     if (is_placed(insn)) return nullptr;
-    if (Location loc = lookup(insn); loc.chain != 0) {
-      const DollopChain& chain = *chains_[loc.chain - 1];
-      const irdb::InsnId* row = chain.rows + loc.pos;
-      Dollop* d = owner(chain, row);
-      if (row == d->insns.data()) return d;
-      return split(d, static_cast<std::size_t>(row - d->insns.data()));
+    if (std::uint32_t where = lookup(insn); where != 0) {
+      const std::uint32_t at = where - 1;
+      Dollop* d = *(after(at) - 1);
+      return at == d->first ? d : split(d, at);
     }
     return construct(insn, is_placed);
+  }
+
+  /// The rows of `d` in fallthrough order. The view is valid until the
+  /// next construction, which may grow the row vector.
+  std::span<const irdb::InsnId> insns(const Dollop& d) const {
+    return {rows_.data() + d.first, d.last - d.first};
   }
 
   /// Split `d` so that its first part is at most `max_bytes` long
@@ -107,7 +95,7 @@ class DollopManager {
   /// Remove a dollop that has been fully emitted: every one of its rows
   /// must already be placed (its index entries stay, and lookups check
   /// placement first). O(1): swap-erase through the dollop's stored slot;
-  /// the node's arena bytes stay allocated until the manager dies.
+  /// the node itself stays allocated until the manager dies.
   /// Retiring a dollop the manager does not own -- including a double
   /// retire -- is an internal error and leaves the manager untouched.
   Status retire(Dollop* d);
@@ -116,71 +104,48 @@ class DollopManager {
   std::size_t total_splits() const { return splits_; }
 
  private:
-  struct Location {
-    std::uint32_t chain = 0;  ///< 1-based chain id; 0: row never owned
-    std::uint32_t pos = 0;    ///< row's position in the chain
-  };
-
-  /// Index entry for a row. chain == 0 when unowned; ids past the index's
-  /// extent (rows added to the database after construction) simply read
-  /// as unowned.
-  Location lookup(irdb::InsnId id) const {
-    if (id == irdb::kNullInsn || id > where_.size()) return {};
+  /// 1 + the row's position in rows_; 0 when the row was never owned. Ids
+  /// past the index's extent (rows added to the database after
+  /// construction) simply read as unowned.
+  std::uint32_t lookup(irdb::InsnId id) const {
+    if (id == irdb::kNullInsn || id > where_.size()) return 0;
     return where_[id - 1];
   }
 
-  void set(irdb::InsnId id, Location loc) {
-    if (id > where_.size())
-      where_.resize(std::max<std::size_t>(id, db_.insn_count()));
-    where_[id - 1] = loc;
-  }
-
-  /// The dollop of `chain` whose window holds `row`.
-  static Dollop* owner(const DollopChain& chain, const irdb::InsnId* row) {
-    auto it = std::upper_bound(chain.parts.begin(), chain.parts.end(), row,
-                               [](const irdb::InsnId* r, const Dollop* d) {
-                                 return r < d->insns.data();
-                               });
-    return *(it - 1);
+  /// The first window that starts after position `at`; the one before it
+  /// holds `at`.
+  std::vector<Dollop*>::iterator after(std::uint32_t at) {
+    return std::upper_bound(parts_.begin(), parts_.end(), at,
+                            [](std::uint32_t pos, const Dollop* d) { return pos < d->first; });
   }
 
   template <typename IsPlacedFn>
   Dollop* construct(irdb::InsnId start, IsPlacedFn&& is_placed) {
-    const auto chain_id = static_cast<std::uint32_t>(chains_.size() + 1);
-    ArenaVector<irdb::InsnId> rows(&arena_);
-    ArenaVector<std::uint64_t> prefix(&arena_);
-    prefix.push_back(0);
+    Dollop& d = nodes_.emplace_back();
+    d.first = static_cast<std::uint32_t>(rows_.size());
     irdb::InsnId cur = start;
-    irdb::InsnId continuation = irdb::kNullInsn;
     while (cur != irdb::kNullInsn) {
-      if (is_placed(cur) || lookup(cur).chain != 0) {
-        continuation = cur;
+      if (is_placed(cur) || lookup(cur) != 0) {
+        d.continuation = cur;
         break;
       }
       irdb::ConstRowRef row = db_.insn(cur);
-      set(cur, {chain_id, static_cast<std::uint32_t>(rows.size())});
-      rows.push_back(cur);
-      prefix.push_back(prefix.back() + estimated_size(row));
+      if (cur > where_.size())
+        where_.resize(std::max<std::size_t>(cur, db_.insn_count()));
+      rows_.push_back(cur);
+      where_[cur - 1] = static_cast<std::uint32_t>(rows_.size());
+      prefix_.push_back(prefix_.back() + estimated_size(row));
       cur = row.fallthrough;
     }
-    DollopChain* chain = arena_.create<DollopChain>();
-    chain->rows = rows.begin();
-    chain->prefix = prefix.begin();
-    chain->parts = ArenaVector<Dollop*>(&arena_);
-    chains_.push_back(chain);
-
-    Dollop* d = arena_.create<Dollop>();
-    d->insns = {rows.begin(), rows.size()};
-    d->chain = chain;
-    d->continuation = continuation;
+    d.last = static_cast<std::uint32_t>(rows_.size());
     recompute(d);
-    chain->parts.push_back(d);
-    adopt(d);
-    return d;
+    parts_.push_back(&d);
+    adopt(&d);
+    return &d;
   }
 
-  /// Split `d` at instruction index `pos` (tail begins at pos).
-  Dollop* split(Dollop* d, std::size_t pos);
+  /// Split `d` at row position `at` (the tail begins there).
+  Dollop* split(Dollop* d, std::uint32_t at);
 
   /// Record a dollop's list slot.
   void adopt(Dollop* d) {
@@ -188,13 +153,15 @@ class DollopManager {
     dollops_.push_back(d);
   }
 
-  void recompute(Dollop* d);
+  void recompute(Dollop& d);
 
   const irdb::Database& db_;
-  MonotonicArena arena_;  ///< owns every chain and dollop node
-  std::vector<Dollop*> dollops_;      ///< live (unplaced) dollops; arena-owned
-  std::vector<DollopChain*> chains_;  ///< every chain, by id-1; arena-owned
-  std::vector<Location> where_;       ///< row id-1 -> owning chain + position
+  std::vector<irdb::InsnId> rows_;          ///< every constructed chain, back to back
+  std::vector<std::uint64_t> prefix_{0};    ///< prefix_[i]: estimated bytes of rows_[0, i)
+  std::vector<Dollop*> parts_;              ///< every dollop, ordered by window start
+  std::vector<std::uint32_t> where_;        ///< row id-1 -> 1 + position in rows_
+  std::deque<Dollop> nodes_;                ///< owns every dollop; pointers stay stable
+  std::vector<Dollop*> dollops_;            ///< live (unplaced) dollops
   std::size_t splits_ = 0;
 };
 

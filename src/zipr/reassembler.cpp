@@ -44,7 +44,7 @@ Reassembler::Reassembler(analysis::IrProgram& prog, const ReassemblyOptions& opt
   for (const auto& [addr, id] : prog_.db.pins())
     pinned_pages.insert(addr & ~(zelf::layout::kPageSize - 1));
   strategy_ = make_placement(opts.placement, opts.seed, std::move(pinned_pages));
-  main_buf_.assign(space_.main_span().size(), kFillByte);
+  out_.assign(space_.main_span().size(), kFillByte);
 }
 
 std::optional<std::uint64_t> Reassembler::placed_at(InsnId id) const {
@@ -69,21 +69,9 @@ Status Reassembler::write_bytes(std::uint64_t addr, ByteView bytes) {
     return Error::internal("write of " + std::to_string(bytes.size()) + " bytes at " +
                            hex_addr(addr) + " below the output span base " +
                            hex_addr(main.begin));
-  // Bulk-copy the main-span prefix and the overflow suffix (one resize,
-  // one copy each) instead of dispatching per byte.
-  std::size_t head = 0;
-  if (addr < main.end) {
-    head = static_cast<std::size_t>(std::min<std::uint64_t>(bytes.size(), main.end - addr));
-    std::copy_n(bytes.data(), head,
-                main_buf_.begin() + static_cast<std::ptrdiff_t>(addr - main.begin));
-  }
-  if (head < bytes.size()) {
-    std::size_t off = static_cast<std::size_t>(addr + head - main.end);
-    std::size_t tail = bytes.size() - head;
-    if (off + tail > overflow_buf_.size()) overflow_buf_.resize(off + tail, kFillByte);
-    std::copy_n(bytes.data() + head, tail,
-                overflow_buf_.begin() + static_cast<std::ptrdiff_t>(off));
-  }
+  const auto off = static_cast<std::size_t>(addr - main.begin);
+  if (off + bytes.size() > out_.size()) out_.resize(off + bytes.size(), kFillByte);
+  std::copy_n(bytes.data(), bytes.size(), out_.begin() + static_cast<std::ptrdiff_t>(off));
   return Status::success();
 }
 
@@ -101,13 +89,12 @@ Status Reassembler::patch_rel32(std::uint64_t site, std::uint64_t target_addr) {
 std::span<Byte> Reassembler::out_span(std::uint64_t addr, std::size_t want) {
   const Interval& main = space_.main_span();
   if (addr < main.begin) return {};  // callers detect the empty span as an error
-  if (addr < main.end) {
-    std::size_t off = static_cast<std::size_t>(addr - main.begin);
-    return {main_buf_.data() + off, std::min(want, main_buf_.size() - off)};
-  }
-  std::size_t off = static_cast<std::size_t>(addr - main.end);
-  if (off + want > overflow_buf_.size()) overflow_buf_.resize(off + want, kFillByte);
-  return {overflow_buf_.data() + off, want};
+  const auto off = static_cast<std::size_t>(addr - main.begin);
+  if (addr < main.end)
+    want = std::min<std::size_t>(want, main.end - addr);
+  else if (off + want > out_.size())
+    out_.resize(off + want, kFillByte);
+  return {out_.data() + off, want};
 }
 
 Result<std::size_t> Reassembler::emit_insn_at(const isa::Insn& in, std::uint64_t addr) {
@@ -527,10 +514,10 @@ Result<std::uint64_t> Reassembler::ensure_placed(InsnId insn,
 }
 
 Status Reassembler::place_dollop(Dollop* d, std::optional<std::uint64_t> preferred) {
-  assert(!d->insns.empty());
+  assert(d->last > d->first);
   PlacementRequest req;
   req.size = d->size_estimate;
-  req.min_viable = estimated_size(prog_.db.insn(d->insns.front())) + kLongJump;
+  req.min_viable = estimated_size(prog_.db.insn(dollops_.insns(*d).front())) + kLongJump;
   req.preferred = preferred;
 
   std::optional<Interval> iv = strategy_->pick(space_, req);
@@ -599,8 +586,11 @@ Status Reassembler::emit_dollop_at(Dollop* d, std::uint64_t base, std::uint64_t 
   for (;;) {
     const bool may_coalesce = opts_.coalesce && run < kMaxCoalesceRun;
 
-    for (std::size_t i = 0; i + 1 < d->insns.size(); ++i) {
-      InsnId id = d->insns[i];
+    // Emitting rows constructs no dollop, so the view stays valid until
+    // the terminal row's successor is looked up below.
+    const std::span<const InsnId> rows = dollops_.insns(*d);
+    for (std::size_t i = 0; i + 1 < rows.size(); ++i) {
+      InsnId id = rows[i];
       ZIPR_ASSIGN_OR_RETURN(std::size_t n, emit_row_at(prog_.db.insn(id), addr));
       mark_placed(id, addr);
       addr += n;
@@ -614,7 +604,7 @@ Status Reassembler::emit_dollop_at(Dollop* d, std::uint64_t base, std::uint64_t 
     // elide the jump and keep emitting the target dollop in place (paper
     // Sec. III). The elided row resolves to the successor's first byte, so
     // references to the jump itself still land on equivalent code.
-    InsnId last = d->insns.back();
+    InsnId last = rows.back();
     const auto lrow = prog_.db.insn(last);
     Dollop* next = nullptr;
     if (may_coalesce && !lrow.verbatim && lrow.decoded.op == Op::kJmp &&
@@ -745,11 +735,11 @@ Result<zelf::Image> Reassembler::run() {
 
   zelf::Image out = prog_.original;
   zelf::Segment& text = out.text();
-  text.bytes = main_buf_;
-  // Resize the overflow tail to exactly what the bump allocator handed out
+  // Size the overflow tail to exactly what the bump allocator handed out
   // (writes may have been shorter than allocations).
-  overflow_buf_.resize(static_cast<std::size_t>(space_.overflow_used()), kFillByte);
-  put_bytes(text.bytes, overflow_buf_);
+  out_.resize(space_.main_span().size() + static_cast<std::size_t>(space_.overflow_used()),
+              kFillByte);
+  text.bytes = std::move(out_);
   text.memsize = text.bytes.size();
   stats_.output_text_bytes = text.bytes.size();
 

@@ -21,7 +21,9 @@
 //
 // Emission is direct: each instruction is encoded straight into the output
 // buffer at the address and width layout chose for it, and each resolved
-// reference overwrites its placeholder rel32 displacement at once.
+// reference overwrites its placeholder rel32 displacement at once. The
+// output is one buffer over [main.begin, main.end + overflow) that becomes
+// the rewritten text segment as it stands.
 #pragma once
 
 #include <span>
@@ -156,15 +158,16 @@ class Reassembler {
                              bool glue) const;
 
   /// Writable view of the output at [addr, addr+want), clamped to the main
-  /// buffer's end when `addr` is in the main span (emission never straddles
-  /// the main/overflow boundary; allocations come from exactly one side).
+  /// span's end when `addr` is in the main span (emission never straddles
+  /// the main/overflow boundary; allocations come from exactly one side),
+  /// and growing the buffer when `addr` is in the overflow area.
   std::span<Byte> out_span(std::uint64_t addr, std::size_t want);
 
   // Sled construction (Sec. II-C2).
   Result<irdb::InsnId> build_sled_dispatch(const std::vector<std::pair<std::uint64_t, std::uint32_t>>& entries,
                                            irdb::InsnId nop_region_target);
 
-  // -- output buffer over [main.begin, +inf) --
+  // -- the output buffer, out_ --
   // Rejects addresses below the main span (checked even under NDEBUG: the
   // offset arithmetic would otherwise underflow into a wild OOB write).
   Status write_bytes(std::uint64_t addr, ByteView bytes);
@@ -175,8 +178,9 @@ class Reassembler {
   std::unique_ptr<PlacementStrategy> strategy_;
   DollopManager dollops_;
 
-  Bytes main_buf_;      ///< [main.begin, main.end)
-  Bytes overflow_buf_;  ///< [main.end, ...)
+  /// The output text over [main.begin, main.end + overflow): the main span
+  /// is allocated up front, the overflow area grows as emission reaches it.
+  Bytes out_;
 
   /// The map M as a dense array: output address per row id (id-1 indexed),
   /// kUnplaced sentinel; grows when sled dispatch rows extend the id space

@@ -501,7 +501,7 @@ TEST(TryDelta, RefusesWhenDiffSpansTooManyPages) {
   serve::DeltaOptions zero_budget;
   zero_budget.max_changed_pages = 0;
   std::string reason;
-  EXPECT_FALSE(serve::try_delta(v1, out, v2, zero_budget, &reason).has_value());
+  EXPECT_FALSE(serve::try_delta(v1, out, *img, v2, zero_budget, &reason).has_value());
   EXPECT_NE(reason.find("pages"), std::string::npos) << reason;
 }
 
